@@ -114,16 +114,27 @@ def _add_obs_args(parser: argparse.ArgumentParser) -> None:
                        help="-v: INFO logging, -vv: DEBUG logging (stderr)")
 
 
-def _configure_logging(verbosity: int) -> None:
+def _configure_logging(verbosity: int):
+    """Log ``repro`` to the current stderr for one command; returns the
+    undo (a handler outliving the command may write to a closed stream)."""
     level = (logging.WARNING if verbosity <= 0
              else logging.INFO if verbosity == 1 else logging.DEBUG)
     logger = logging.getLogger("repro")
+    previous_level = logger.level
     logger.setLevel(level)
+    handler = None
     if not logger.handlers:
         handler = logging.StreamHandler(sys.stderr)
         handler.setFormatter(
             logging.Formatter("%(asctime)s %(name)s %(levelname)s %(message)s"))
         logger.addHandler(handler)
+
+    def restore() -> None:
+        if handler is not None:
+            logger.removeHandler(handler)
+        logger.setLevel(previous_level)
+
+    return restore
 
 
 def _burst_arg(text: str) -> int:
@@ -926,7 +937,7 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    _configure_logging(getattr(args, "verbose", 0))
+    restore_logging = _configure_logging(getattr(args, "verbose", 0))
     registry = get_registry()
     tracer = configure_tracing(getattr(args, "trace", None), registry=registry)
     try:
@@ -966,6 +977,7 @@ def main(argv: list[str] | None = None) -> int:
             except Exception as exc:  # pragma: no cover - defensive
                 logging.getLogger("repro.cli").warning(
                     "could not link metrics artifact in ledger: %s", exc)
+        restore_logging()
 
 
 if __name__ == "__main__":

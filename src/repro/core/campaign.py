@@ -26,11 +26,18 @@ parallel execution, write-ahead journaling and crash recovery possible:
 2. **Execution** (:func:`execute_injection`) — runs one injected inference
    for one plan and returns a plain-dict *record* (site, bits, ΔLoss,
    mismatch/SDC rates, duration).  Records are JSON- and pickle-friendly so
-   they can cross process boundaries and be journaled.
+   they can cross process boundaries and be journaled.  Every executor
+   runs the same loop, :func:`run_shard`: serial execution is the
+   workers' shard loop run in-process, one layer at a time, and both feed
+   the one accept step :func:`accept_records` (journal, record map,
+   telemetry, progress).
 3. **Aggregation** (:func:`aggregate_layer`) — folds the records of a layer
-   *in plan order* (``seq``) into a :class:`LayerCampaignResult`.  Because
-   the fold order is fixed by ``seq`` — not by execution order — serial,
-   parallel and journal-resumed campaigns produce bit-identical statistics.
+   *in plan order* (``seq``) into a :class:`LayerCampaignResult` through
+   :func:`fold_layer`, the fold that the live ``/progress`` tracker, the
+   journal view and the trace report also call.  Because the fold order
+   is fixed by ``seq`` — not by execution order — serial, parallel and
+   journal-resumed campaigns produce bit-identical statistics on every
+   surface.
 
 Parallel execution & crash safety
 ---------------------------------
@@ -99,6 +106,8 @@ __all__ = [
     "sample_layer_plans",
     "execute_injection",
     "aggregate_layer",
+    "fold_layer",
+    "run_shard",
     "plan_site",
     "record_matches_plan",
 ]
@@ -345,24 +354,6 @@ def _classify_ecc(protection, plan) -> str | None:
     return verdict
 
 
-def _stamp_fault_fields(record: dict, plan, fault_spec, verdict) -> dict:
-    """Add the non-default fault-model fields to a record.
-
-    Every field is emitted *only* when it differs from the classic
-    single-bit-XOR default, so records of a default campaign stay
-    byte-identical to pre-fault-model journals.
-    """
-    if fault_spec not in (None, "single"):
-        record["fault"] = str(fault_spec)
-    if getattr(plan, "op", "xor") != "xor":
-        record["op"] = plan.op
-    if getattr(plan, "persist", 0) > 0:
-        record["persist"] = int(plan.persist)
-    if verdict is not None:
-        record["ecc"] = verdict
-    return record
-
-
 def _compose_temporal(faulty_logits, golden_logits, persist: int):
     """Decay a temporal fault: samples past ``persist`` see golden logits.
 
@@ -379,17 +370,45 @@ def _compose_temporal(faulty_logits, golden_logits, persist: int):
     return composed
 
 
-def _protected_record(plan, verdict: str, fault_spec, dur: float) -> dict:
-    """Record for a fault the ECC corrected/detected: the golden outcome."""
-    return _stamp_fault_fields({
+def _build_record(plan, metrics: dict | None, dur: float, fault_spec,
+                  verdict) -> dict:
+    """The record of one executed plan: the one record layout every path emits.
+
+    ``metrics`` is the plan's :func:`compare_outcomes` result, or None for a
+    fault the ECC corrected or detected (the golden outcome).  Fault-model
+    fields are emitted *only* when they differ from the classic
+    single-bit-XOR default, so records of a default campaign stay
+    byte-identical to pre-fault-model journals.
+    """
+    if metrics is None:
+        metrics = {"delta_loss": 0.0, "mismatch_rate": 0.0, "sdc_rate": 0.0}
+    record = {
         "kind": plan_kind(plan),
         "site": plan_site(plan),
         "bits": list(plan.bits),
-        "delta_loss": 0.0,
-        "mismatch_rate": 0.0,
-        "sdc_rate": 0.0,
+        "delta_loss": float(metrics["delta_loss"]),
+        "mismatch_rate": float(metrics["mismatch_rate"]),
+        "sdc_rate": float(metrics["sdc_rate"]),
         "dur_s": dur,
-    }, plan, fault_spec, verdict)
+    }
+    if fault_spec not in (None, "single"):
+        record["fault"] = str(fault_spec)
+    if getattr(plan, "op", "xor") != "xor":
+        record["op"] = plan.op
+    if getattr(plan, "persist", 0) > 0:
+        record["persist"] = int(plan.persist)
+    if verdict is not None:
+        record["ecc"] = verdict
+    return record
+
+
+def _score(golden: InferenceOutcome, faulty_logits, plan) -> dict:
+    """:func:`compare_outcomes` of one plan's faulty logits."""
+    faulty = InferenceOutcome(
+        logits=_compose_temporal(faulty_logits, golden.logits,
+                                 getattr(plan, "persist", 0)),
+        labels=golden.labels)
+    return compare_outcomes(golden, faulty)
 
 
 def execute_injection(
@@ -419,29 +438,17 @@ def execute_injection(
     t_inj = time.perf_counter()
     verdict = _classify_ecc(protection, plan)
     if verdict in ("corrected", "detected"):
-        return _protected_record(plan, verdict, fault_spec,
-                                 time.perf_counter() - t_inj)
+        return _build_record(plan, None, time.perf_counter() - t_inj,
+                             fault_spec, verdict)
     with platform.injector.armed(plan):
         if use_resume:
             faulty_logits = platform.forward_from(plan.layer, images)
         else:
             faulty_logits = golden_inference(platform, images,
                                              golden.labels).logits
-    faulty = InferenceOutcome(
-        logits=_compose_temporal(faulty_logits, golden.logits,
-                                 getattr(plan, "persist", 0)),
-        labels=golden.labels,
-    )
-    metrics = compare_outcomes(golden, faulty)
-    return _stamp_fault_fields({
-        "kind": plan_kind(plan),
-        "site": plan_site(plan),
-        "bits": list(plan.bits),
-        "delta_loss": float(metrics["delta_loss"]),
-        "mismatch_rate": float(metrics["mismatch_rate"]),
-        "sdc_rate": float(metrics["sdc_rate"]),
-        "dur_s": time.perf_counter() - t_inj,
-    }, plan, fault_spec, verdict)
+    metrics = _score(golden, faulty_logits, plan)
+    return _build_record(plan, metrics, time.perf_counter() - t_inj,
+                         fault_spec, verdict)
 
 
 def plan_kind(plan) -> str:
@@ -498,56 +505,30 @@ def execute_injection_batch(
         return []
     with get_tracer().span("campaign.batch", layer=plans[0].layer,
                            size=len(plans)):
-        return _execute_injection_batch(platform, golden, images, plans,
-                                        use_resume, fault_spec, protection)
-
-
-def _execute_injection_batch(
-    platform: GoldenEye,
-    golden: InferenceOutcome,
-    images: np.ndarray,
-    plans,
-    use_resume: bool,
-    fault_spec=None,
-    protection=None,
-) -> list[dict]:
-    out: list = [None] * len(plans)
-    live: list[tuple[int, object, str | None]] = []
-    for i, plan in enumerate(plans):
-        verdict = _classify_ecc(protection, plan)
-        if verdict in ("corrected", "detected"):
-            out[i] = _protected_record(plan, verdict, fault_spec, 0.0)
-        else:
-            live.append((i, plan, verdict))
-    live_plans = [plan for _, plan, _ in live]
-    if not live_plans:
+        out: list = [None] * len(plans)
+        live: list[tuple[int, object, str | None]] = []
+        for i, plan in enumerate(plans):
+            verdict = _classify_ecc(protection, plan)
+            if verdict in ("corrected", "detected"):
+                out[i] = _build_record(plan, None, 0.0, fault_spec, verdict)
+            else:
+                live.append((i, plan, verdict))
+        live_plans = [plan for _, plan, _ in live]
+        if len(live_plans) <= 1 or not plans_can_batch(live_plans):
+            for i, plan, verdict in live:
+                out[i] = execute_injection(platform, golden, images, plan,
+                                           use_resume, fault_spec=fault_spec)
+                if verdict is not None:
+                    out[i]["ecc"] = verdict
+            return out
+        t_batch = time.perf_counter()
+        lane_logits = platform.forward_from_batched(live_plans[0].layer,
+                                                    live_plans, images)
+        dur = (time.perf_counter() - t_batch) / len(live_plans)
+        for k, (i, plan, verdict) in enumerate(live):
+            out[i] = _build_record(plan, _score(golden, lane_logits[k], plan),
+                                   dur, fault_spec, verdict)
         return out
-    if len(live_plans) == 1 or not plans_can_batch(live_plans):
-        for i, plan, verdict in live:
-            record = execute_injection(platform, golden, images, plan,
-                                       use_resume, fault_spec=fault_spec)
-            out[i] = _stamp_fault_fields(record, plan, fault_spec, verdict)
-        return out
-    t_batch = time.perf_counter()
-    lane_logits = platform.forward_from_batched(live_plans[0].layer,
-                                                live_plans, images)
-    dur = (time.perf_counter() - t_batch) / len(live_plans)
-    for k, (i, plan, verdict) in enumerate(live):
-        faulty = InferenceOutcome(
-            logits=_compose_temporal(lane_logits[k], golden.logits,
-                                     getattr(plan, "persist", 0)),
-            labels=golden.labels)
-        metrics = compare_outcomes(golden, faulty)
-        out[i] = _stamp_fault_fields({
-            "kind": plan_kind(plan),
-            "site": plan_site(plan),
-            "bits": list(plan.bits),
-            "delta_loss": float(metrics["delta_loss"]),
-            "mismatch_rate": float(metrics["mismatch_rate"]),
-            "sdc_rate": float(metrics["sdc_rate"]),
-            "dur_s": dur,
-        }, plan, fault_spec, verdict)
-    return out
 
 
 def record_matches_plan(record: dict, plan) -> bool:
@@ -581,38 +562,134 @@ def emit_injection_telemetry(record: dict, kind: str, location: str) -> None:
                        layer=record["layer"]).observe(record["dur_s"])
     tracer = get_tracer()
     if tracer.enabled:
-        tracer.event("campaign.injection", layer=record["layer"], kind=kind,
-                     location=location, site=int(record["site"]),
-                     bits=list(record["bits"]),
+        tracer.event("campaign.injection", layer=record["layer"],
+                     seq=int(record["seq"]), kind=kind, location=location,
+                     site=int(record["site"]), bits=list(record["bits"]),
                      delta_loss=record["delta_loss"],
                      mismatch_rate=record["mismatch_rate"],
                      sdc_rate=record["sdc_rate"], dur_s=record["dur_s"])
 
 
+def accept_records(records: dict, batch, journal, progress, kind: str,
+                   location: str) -> None:
+    """The parent-side accept step the serial loop and the supervisor share.
+
+    Records not yet held are journaled *first* (one framed line per batch,
+    write-ahead of aggregation), then stored under ``(layer, seq)``,
+    published as telemetry and fed to the progress tracker.  Records
+    already held (stragglers of a killed attempt) are dropped.
+    """
+    fresh = [r for r in batch if (r["layer"], r["seq"]) not in records]
+    if not fresh:
+        return
+    if journal is not None:
+        journal.append_batch(fresh)
+    for record in fresh:
+        records[(record["layer"], record["seq"])] = record
+        emit_injection_telemetry(record, kind, location)
+        if progress is not None:
+            progress.record(record["layer"], record["seq"], record)
+    if progress is not None:
+        progress.maybe_log()
+
+
+def run_shard(payload, layer: str, seqs: list[int], sink,
+              every: int = 1) -> None:
+    """Execute ``seqs`` of one layer's plans: the loop behind every executor.
+
+    Plans of ``payload`` (a :class:`repro.exec.worker.WorkerPayload`) run
+    in ``config.fault_batch`` chunks through :func:`execute_injection_batch`
+    with one ``config.injection_latency`` sleep per chunk; records are
+    stamped with ``layer``/``seq`` and reach ``sink`` in lists of
+    ``every``, always before an exception propagates.  Serial runs call it
+    per layer with ``every=1`` and :func:`accept_records` as sink; workers
+    per shard with ``every=batch_records`` and a result-queue sink.
+    """
+    config = payload.config
+    plans = payload.plans[layer]
+    chunk = max(1, int(config.fault_batch))
+    every = max(1, int(every))
+    latency = float(config.injection_latency or 0.0)
+    pending: list[dict] = []
+    try:
+        for i in range(0, len(seqs), chunk):
+            group = seqs[i:i + chunk]
+            group_records = execute_injection_batch(
+                payload.platform, payload.golden, payload.images,
+                [plans[seq] for seq in group], payload.use_resume,
+                fault_spec=payload.fault_spec, protection=payload.protection)
+            for seq, record in zip(group, group_records):
+                record["layer"] = layer
+                record["seq"] = seq
+                pending.append(record)
+                if len(pending) >= every:
+                    batch, pending = pending, []
+                    sink(batch)
+            if latency > 0.0:
+                time.sleep(latency)  # one device round-trip per chunk
+    finally:
+        if pending:
+            sink(pending)
+
+
+def _run_serial(payload, target_layers: list[str],
+                sampling: dict[str, LayerPlan], kind: str, location: str,
+                journal, records: dict[tuple[str, int], dict],
+                progress=None) -> None:
+    """Execute all outstanding plans in-process: :func:`run_shard` per
+    layer, one record per batch, so the journal keeps one flushed line per
+    record."""
+    tracer = get_tracer()
+    registry = get_registry()
+    platform = payload.platform
+
+    def accept(batch):
+        accept_records(records, batch, journal, progress, kind, location)
+
+    for layer in target_layers:
+        layer_plan = sampling[layer]
+        if not layer_plan.plans:
+            continue
+        seqs = [seq for seq in range(len(layer_plan.plans))
+                if (layer, seq) not in records]
+        with tracer.span("campaign.layer", layer=layer, kind=kind) as layer_span:
+            run_shard(payload, layer, seqs, accept)
+            layer_span.set(performed=len(seqs), retries=layer_plan.retries)
+        if payload.use_resume and platform.resume_session is not None:
+            # keep the resume gauges live as the campaign progresses
+            platform.resume_session.publish_metrics(registry)
+
+
 # ----------------------------------------------------------------------
 # stage 3: order-fixed aggregation
 # ----------------------------------------------------------------------
-def aggregate_layer(layer_plan: LayerPlan,
-                    records: dict[int, dict]) -> LayerCampaignResult | None:
-    """Fold one layer's records (keyed by ``seq``) into its statistics.
+def fold_layer(records: dict) -> dict | None:
+    """Fold one layer's ``{seq: record}`` map into its statistics.
 
-    Records are folded in plan (``seq``) order regardless of the order in
-    which they were executed, so a 4-worker campaign, a serial campaign and
-    a journal-resumed campaign all aggregate bit-identically.  Missing seqs
-    (quarantined shards, interrupted runs) are simply absent — the layer
-    degrades to the statistics of the records that exist.
+    The one fold behind :func:`aggregate_layer`, the live ``/progress``
+    tracker, ``journal_progress`` and the trace report.  Records fold in
+    sorted-key order, never arrival order — sequential sums for the
+    mismatch and SDC rates, ``np.mean``/``np.max`` for ΔLoss and the
+    per-pattern means — so every surface gets bit-identical floats.
+    Returns None for no records, else ``injections``, ``delta_losses``,
+    mean/max ΔLoss, ``mismatch_rate``, ``sdc_rate``, ``sdc_ci95`` (Wilson),
+    ``seconds``, ``by_pattern`` (``"len{L}"`` by flipped-bit count,
+    ``"start{S}"`` by multi-bit start) and ``ecc`` verdict counts.  Missing
+    fields count as 0.0.
     """
-    ordered = [records[seq] for seq in sorted(records)]
+    from ..analysis.confidence import wilson_interval
+
+    ordered = [records[key] for key in sorted(records)]
     if not ordered:
         return None
-    delta_losses = [r["delta_loss"] for r in ordered]
+    delta_losses = [r.get("delta_loss", 0.0) for r in ordered]
     mismatches = 0.0
     sdcs = 0.0
     pattern_groups: dict[str, list[dict]] = {}
     ecc_counts: dict[str, int] = {}
     for r in ordered:
-        mismatches += r["mismatch_rate"]
-        sdcs += r["sdc_rate"]
+        mismatches += r.get("mismatch_rate", 0.0)
+        sdcs += r.get("sdc_rate", 0.0)
         verdict = r.get("ecc")
         if verdict:
             ecc_counts[verdict] = ecc_counts.get(verdict, 0) + 1
@@ -626,24 +703,44 @@ def aggregate_layer(layer_plan: LayerPlan,
     by_pattern = {
         g: {
             "injections": len(rows),
-            "sdc_rate": float(np.mean([r["sdc_rate"] for r in rows])),
-            "mean_delta_loss": float(np.mean([r["delta_loss"] for r in rows])),
+            "sdc_rate": float(np.mean([r.get("sdc_rate", 0.0)
+                                       for r in rows])),
+            "mean_delta_loss": float(np.mean([r.get("delta_loss", 0.0)
+                                              for r in rows])),
         }
         for g, rows in sorted(pattern_groups.items())
     }
-    return LayerCampaignResult(
-        layer=layer_plan.layer,
-        injections=performed,
-        mean_delta_loss=float(np.mean(delta_losses)),
-        max_delta_loss=float(np.max(delta_losses)),
-        mismatch_rate=mismatches / performed,
-        sdc_rate=sdcs / performed,
-        delta_losses=delta_losses,
-        seconds=float(sum(r["dur_s"] for r in ordered)),
-        retries=layer_plan.retries,
-        by_pattern=by_pattern,
-        ecc=ecc_counts,
-    )
+    return {
+        "injections": performed,
+        "delta_losses": delta_losses,
+        "mean_delta_loss": float(np.mean(delta_losses)),
+        "max_delta_loss": float(np.max(delta_losses)),
+        "mismatch_rate": mismatches / performed,
+        "sdc_rate": sdcs / performed,
+        "sdc_ci95": list(wilson_interval(sdcs, performed)),
+        "seconds": float(sum(r.get("dur_s", 0.0) for r in ordered)),
+        "by_pattern": by_pattern,
+        "ecc": ecc_counts,
+    }
+
+
+def aggregate_layer(layer_plan: LayerPlan,
+                    records: dict[int, dict]) -> LayerCampaignResult | None:
+    """Fold one layer's records (keyed by ``seq``) into its statistics.
+
+    Records are folded in plan (``seq``) order by :func:`fold_layer`
+    regardless of the order in which they were executed, so a 4-worker
+    campaign, a serial campaign and a journal-resumed campaign all
+    aggregate bit-identically.  Missing seqs (quarantined shards,
+    interrupted runs) are simply absent — the layer degrades to the
+    statistics of the records that exist.
+    """
+    stats = fold_layer(records)
+    if stats is None:
+        return None
+    del stats["sdc_ci95"]  # the ledger derives its own interval
+    return LayerCampaignResult(layer=layer_plan.layer,
+                               retries=layer_plan.retries, **stats)
 
 
 # ----------------------------------------------------------------------
@@ -780,12 +877,15 @@ def run_campaign(
             raise ValueError(
                 f"unknown layer(s) {unknown!r} in layers=; "
                 f"instrumented layers: {', '.join(all_layers)}")
-    if exec_config is not None:
-        effective_workers = exec_config.workers
-    else:
-        effective_workers = max(1, int(workers or 1))
-
+    from ..exec import ExecConfig
+    from ..exec.worker import WorkerPayload
     from ..obs.live import CampaignProgress, LiveServer
+
+    # the one executor configuration every path below reads
+    cfg = exec_config if exec_config is not None else ExecConfig(
+        workers=max(1, int(workers or 1)), shard_timeout=shard_timeout,
+        max_retries=max_retries, batch_records=batch_records,
+        shared_cache=shared_cache, fault_batch=fault_batch)
 
     server: LiveServer | None = None
     owns_server = False
@@ -828,7 +928,7 @@ def run_campaign(
             "campaign start: kind=%s location=%s format=%s layers=%d "
             "injections/layer=%d resume=%s workers=%d journal=%s", kind,
             location, platform.format_name(), len(target_layers),
-            injections_per_layer, resume, effective_workers, journal)
+            injections_per_layer, resume, cfg.workers, journal)
 
         quarantined: list[dict] = []
         interrupted = False
@@ -837,7 +937,7 @@ def run_campaign(
                          format=platform.format_name(), seed=seed,
                          injections_per_layer=injections_per_layer,
                          layers=len(target_layers), resume=resume,
-                         workers=effective_workers) as run_span:
+                         workers=cfg.workers) as run_span:
             # ---- stage 1: sample every layer's plans up front ------------
             sampling: dict[str, LayerPlan] = {}
             for layer in target_layers:
@@ -847,8 +947,9 @@ def run_campaign(
                     platform, layer, kind, location, injections_per_layer,
                     rng, num_bits,
                     fault_model=None if fault_spec == "single" else model)
-            progress.set_plan({layer: len(sampling[layer].plans)
-                               for layer in target_layers})
+            plan_sizes = {layer: len(sampling[layer].plans)
+                          for layer in target_layers}
+            progress.set_plan(plan_sizes)
 
             # ---- campaign identity (journal + ledger share it) -----------
             from ..exec.journal import CampaignJournal, campaign_fingerprint
@@ -865,7 +966,8 @@ def run_campaign(
             records: dict[tuple[str, int], dict] = {}
             journal_skipped = 0
             if journal is not None:
-                journal_obj, completed = CampaignJournal.open(journal, fingerprint)
+                journal_obj, completed = CampaignJournal.open(
+                    journal, fingerprint, plan=plan_sizes)
                 for (layer, seq), rec in completed.items():
                     plan_list = sampling.get(layer)
                     if plan_list is None or seq >= len(plan_list.plans):
@@ -874,9 +976,7 @@ def run_campaign(
                         continue
                     records[(layer, seq)] = rec
                 for (layer, seq), rec in records.items():
-                    progress.record(layer, seq,
-                                    float(rec.get("sdc_rate", 0.0) or 0.0),
-                                    prefill=True)
+                    progress.record(layer, seq, rec, prefill=True)
                 journal_skipped = len(records)
                 if journal_skipped:
                     registry.counter(
@@ -887,38 +987,25 @@ def run_campaign(
                                 "injections", journal, journal_skipped)
 
             # ---- stage 2: execute outstanding plans ----------------------
+            payload = WorkerPayload(
+                platform=platform, golden=golden, images=images,
+                plans={name: lp.plans for name, lp in sampling.items()},
+                use_resume=resume, config=cfg, fault_spec=fault_spec,
+                protection=protection)
             try:
-                if effective_workers >= 2:
-                    from ..exec import ExecConfig
+                if cfg.workers >= 2:
                     from ..exec.supervisor import run_parallel_campaign
-                    cfg = exec_config if exec_config is not None else ExecConfig(
-                        workers=effective_workers, shard_timeout=shard_timeout,
-                        max_retries=max_retries,
-                        batch_records=batch_records,
-                        shared_cache=shared_cache,
-                        fault_batch=fault_batch)
                     outcome = run_parallel_campaign(
-                        platform, golden, images, target_layers, sampling,
-                        kind, location, resume, cfg, journal_obj, records,
-                        progress=progress, fault_spec=fault_spec,
-                        protection=protection)
+                        payload, target_layers, sampling, kind, location,
+                        journal_obj, records, progress=progress)
                     records = outcome.records
                     quarantined = outcome.quarantined
                     interrupted = outcome.interrupted
                     worker_resume_stats = outcome.worker_resume_stats
                 else:
-                    _run_serial(platform, golden, images, target_layers,
-                                sampling, kind, location, resume,
-                                journal_obj, records,
-                                injection_latency=(
-                                    exec_config.injection_latency
-                                    if exec_config is not None else 0.0),
-                                fault_batch=(
-                                    exec_config.fault_batch
-                                    if exec_config is not None
-                                    else fault_batch),
-                                progress=progress, fault_spec=fault_spec,
-                                protection=protection)
+                    _run_serial(payload, target_layers, sampling, kind,
+                                location, journal_obj, records,
+                                progress=progress)
             finally:
                 if journal_obj is not None:
                     journal_obj.close()
@@ -951,7 +1038,7 @@ def run_campaign(
             throughput = injections_total / wall if wall > 0 else 0.0
             run_span.set(injections=injections_total, wall_s=wall,
                          injections_per_sec=throughput,
-                         workers=effective_workers,
+                         workers=cfg.workers,
                          journal_skipped=journal_skipped,
                          quarantined=len(quarantined),
                          interrupted=interrupted)
@@ -967,7 +1054,7 @@ def run_campaign(
             "injections": injections_total,
             "injections_per_sec": throughput,
             "sampling_retries": retries_total,
-            "workers": effective_workers,
+            "workers": cfg.workers,
             "journal_skipped": journal_skipped,
             "quarantined_shards": len(quarantined),
             "per_layer": {
@@ -997,9 +1084,7 @@ def run_campaign(
         _record_to_ledger(
             result, ledger, seed=seed,
             injections_per_layer=injections_per_layer, num_bits=num_bits,
-            workers=effective_workers,
-            fault_batch=(exec_config.fault_batch
-                         if exec_config is not None else fault_batch),
+            workers=cfg.workers, fault_batch=cfg.fault_batch,
             layers=target_layers, started_at=started_at)
         return result
     finally:
@@ -1059,70 +1144,6 @@ def _record_to_ledger(result: CampaignResult, ledger, *, seed: int,
                 pass
         if result.telemetry is not None:
             result.telemetry["ledger_seconds"] = time.perf_counter() - t0
-
-
-def _run_serial(
-    platform: GoldenEye,
-    golden: InferenceOutcome,
-    images: np.ndarray,
-    target_layers: list[str],
-    sampling: dict[str, LayerPlan],
-    kind: str,
-    location: str,
-    use_resume: bool,
-    journal_obj,
-    records: dict[tuple[str, int], dict],
-    injection_latency: float = 0.0,
-    fault_batch: int = 1,
-    progress=None,
-    fault_spec=None,
-    protection=None,
-) -> None:
-    """Execute all outstanding plans in-process, journaling each record.
-
-    ``injection_latency`` mirrors :attr:`repro.exec.ExecConfig`'s knob of
-    the same name: the emulated per-injection device latency is applied
-    here exactly as in the workers, so serial-vs-parallel comparisons
-    measure orchestration, not an asymmetric handicap.  ``fault_batch=K``
-    chunks each layer's outstanding plans into fault-axis batched forwards
-    (one emulated device round-trip per chunk); records, journal lines and
-    telemetry are still emitted one per plan, in seq order.
-    """
-    tracer = get_tracer()
-    registry = get_registry()
-    latency = float(injection_latency or 0.0)
-    chunk = max(1, int(fault_batch))
-    for layer in target_layers:
-        layer_plan = sampling[layer]
-        if not layer_plan.plans:
-            continue
-        with tracer.span("campaign.layer", layer=layer, kind=kind) as layer_span:
-            performed = 0
-            outstanding = [(seq, plan)
-                           for seq, plan in enumerate(layer_plan.plans)
-                           if (layer, seq) not in records]
-            for i in range(0, len(outstanding), chunk):
-                group = outstanding[i:i + chunk]
-                group_records = execute_injection_batch(
-                    platform, golden, images, [plan for _, plan in group],
-                    use_resume, fault_spec=fault_spec, protection=protection)
-                for (seq, _), record in zip(group, group_records):
-                    record["layer"] = layer
-                    record["seq"] = seq
-                    records[(layer, seq)] = record
-                    performed += 1
-                    if journal_obj is not None:
-                        journal_obj.append_record(record)
-                    emit_injection_telemetry(record, kind, location)
-                    if progress is not None:
-                        progress.record(layer, seq, record["sdc_rate"])
-                        progress.maybe_log()
-                if latency > 0.0:
-                    time.sleep(latency)
-            layer_span.set(performed=performed, retries=layer_plan.retries)
-        if use_resume and platform.resume_session is not None:
-            # keep the resume gauges live as the campaign progresses
-            platform.resume_session.publish_metrics(registry)
 
 
 def _site_space(platform: GoldenEye, layer: str, kind: str, location: str,

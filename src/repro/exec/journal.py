@@ -10,7 +10,8 @@ plan (``seq``) order regardless of where they came from.
 
 File format (one JSON object per line)::
 
-    {"type": "header", "version": 1, "fingerprint": {...}, "created": ...}
+    {"type": "header", "version": 1, "fingerprint": {...}, "created": ...,
+     "plan": {"conv1": 100, "fc": 40}}
     {"type": "injection", "layer": "conv1", "seq": 0, "site": 17,
      "bits": [3], "delta_loss": 0.25, "mismatch_rate": 0.0,
      "sdc_rate": 0.0, "dur_s": 0.004}
@@ -45,6 +46,12 @@ Properties:
 * **Exact floats.**  Records round-trip through ``repr``-based JSON floats,
   which is lossless for IEEE-754 doubles — journal-resumed aggregates are
   bit-identical, not merely close.
+* **Plan sizes ride along.**  The optional header key ``plan`` records
+  each layer's sampled plan count — smaller than ``injections_per_layer``
+  when a layer's site space is exhausted, unrelated to it under the
+  exhaustive fault model — so ``repro watch`` on a journal reports the
+  true done/total.  It sits outside the fingerprint: journals without it
+  still resume and fall back to the plan budget.
 * **Quarantine events are advisory.**  They document abandoned shards for
   post-mortems; a resumed run re-attempts those seqs (the fault may have
   been transient).
@@ -231,13 +238,15 @@ class CampaignJournal:
 
     # ------------------------------------------------------------------
     @classmethod
-    def open(cls, path, fingerprint: dict, fsync_every: bool = False
+    def open(cls, path, fingerprint: dict, fsync_every: bool = False,
+             plan: dict[str, int] | None = None
              ) -> tuple["CampaignJournal", dict[tuple[str, int], dict]]:
         """Open (creating or resuming) the journal at ``path``.
 
         Returns the journal plus the records already completed by previous
-        runs.  A fresh file gets a header; an existing file must carry a
-        matching fingerprint (:class:`JournalMismatch` otherwise).
+        runs.  A fresh file gets a header (carrying ``plan``, the per-layer
+        plan sizes, when given); an existing file must carry a matching
+        fingerprint (:class:`JournalMismatch` otherwise).
         """
         path = Path(path)
         completed: dict[tuple[str, int], dict] = {}
@@ -270,9 +279,11 @@ class CampaignJournal:
         fh = open(path, "a", encoding="utf-8")
         journal = cls(path, fingerprint, _fh=fh, fsync_every=fsync_every)
         if fresh:
-            journal._append({"type": "header", "version": JOURNAL_VERSION,
-                             "fingerprint": fingerprint,
-                             "created": time.time()})
+            header = {"type": "header", "version": JOURNAL_VERSION,
+                      "fingerprint": fingerprint, "created": time.time()}
+            if plan is not None:
+                header["plan"] = {layer: int(n) for layer, n in plan.items()}
+            journal._append(header)
         return journal, completed
 
     # ------------------------------------------------------------------

@@ -56,6 +56,7 @@ campaign's registry and JSONL trace match a serial run's.
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import multiprocessing
 import os
@@ -103,8 +104,8 @@ class ExecConfig:
     #: BLAS/OMP threads per worker (None = cores // workers, floor 1),
     #: pinned at fork time to prevent pool-wide oversubscription
     blas_threads: int | None = None
-    #: emulated per-injection device latency in seconds, honoured
-    #: identically by the serial and parallel paths (bench/test knob; the
+    #: emulated device latency in seconds, slept once per ``fault_batch``
+    #: chunk by the shard loop every executor runs (bench/test knob; the
     #: executor-scaling bench uses it to measure orchestration overhead
     #: independently of host core count)
     injection_latency: float = 0.0
@@ -138,9 +139,6 @@ class ParallelOutcome:
     quarantined: list[dict] = field(default_factory=list)
     interrupted: bool = False
     worker_resume_stats: list[dict] = field(default_factory=list)
-    shards_total: int = 0
-    shard_retries: int = 0
-    worker_deaths: int = 0
 
 
 @dataclass
@@ -239,11 +237,10 @@ class CampaignSupervisor:
     """Drives one parallel campaign over a pool of forked workers."""
 
     def __init__(self, payload: WorkerPayload, shards: list[Shard],
-                 config: ExecConfig, journal=None,
-                 kind: str = "value", location: str = "neuron",
+                 journal=None, kind: str = "value", location: str = "neuron",
                  progress=None):
         self.payload = payload
-        self.config = config
+        self.config: ExecConfig = payload.config
         self.journal = journal
         self.kind = kind
         self.location = location
@@ -254,8 +251,6 @@ class CampaignSupervisor:
         self.records: dict[tuple[str, int], dict] = {}
         self.quarantined: list[dict] = []
         self.worker_resume_stats: list[dict] = []
-        self.shard_retries = 0
-        self.worker_deaths = 0
         self._states = {s.shard_id: _ShardState(shard=s, pending=set(s.seqs))
                         for s in shards}
         #: shard_id -> (worker_id, deadline | None, attempt)
@@ -309,9 +304,6 @@ class CampaignSupervisor:
             quarantined=self.quarantined,
             interrupted=self._stop,
             worker_resume_stats=self.worker_resume_stats,
-            shards_total=len(self._states),
-            shard_retries=self.shard_retries,
-            worker_deaths=self.worker_deaths,
         )
 
     # ------------------------------------------------------------------
@@ -385,10 +377,6 @@ class CampaignSupervisor:
         if mtype == "records":
             shard_id, _attempt, records = body
             self._accept_records(shard_id, records)
-        elif mtype == "record":
-            # legacy single-record framing (pre-batching workers)
-            shard_id, _attempt, record = body
-            self._accept_records(shard_id, (record,))
         elif mtype == "ready":
             if isinstance(body, dict) and body.get("shm_adopted"):
                 self._registry.counter(
@@ -409,7 +397,7 @@ class CampaignSupervisor:
             self._finish_shard(shard_id, attempt, worker_id)
         elif mtype == "error":
             shard_id, attempt, error = body
-            self._release_worker(worker_id, shard_id)
+            self._pool.release(worker_id, shard_id)
             entry = self._inflight.get(shard_id)
             if entry is not None and entry[2] == attempt:
                 self._inflight.pop(shard_id, None)
@@ -445,32 +433,23 @@ class CampaignSupervisor:
             help="worker shard-attempt telemetry payloads merged").inc()
 
     def _accept_records(self, shard_id: int, records) -> None:
-        """Fold one worker batch: journal once, then aggregate.
+        """Fold one worker batch through the campaign's accept step.
 
-        The whole batch (minus records already held, e.g. stragglers from
-        a killed attempt that raced its retry) is journaled as a single
-        framed line with one flush *before* any record reaches aggregation
-        — the write-ahead invariant is preserved at batch granularity.
+        :func:`repro.core.campaign.accept_records` journals the batch's
+        fresh records as one framed line with one flush *before* any of
+        them reaches aggregation — the write-ahead invariant holds at batch
+        granularity.  The supervisor adds its ``exec.*`` counters, the
+        shard's pending-seq bookkeeping and the ``on_record`` test hook.
         """
-        from ..core.campaign import emit_injection_telemetry
-        fresh = [record for record in records
-                 if (record["layer"], record["seq"]) not in self.records]
-        if fresh and self.journal is not None:
-            self.journal.append_batch(fresh)
+        from ..core.campaign import accept_records
+        accept_records(self.records, records, self.journal, self.progress,
+                       self.kind, self.location)
         self._registry.counter(
             "exec.record_batches_total",
             help="worker record batches accepted by the supervisor").inc()
         self._registry.histogram(
             "exec.batch_size",
             help="records per accepted worker batch").observe(len(records))
-        for record in fresh:
-            self.records[(record["layer"], record["seq"])] = record
-            emit_injection_telemetry(record, self.kind, self.location)
-            if self.progress is not None:
-                self.progress.record(record["layer"], record["seq"],
-                                     record["sdc_rate"])
-        if fresh and self.progress is not None:
-            self.progress.maybe_log()
         state = self._states.get(shard_id)
         if state is not None:
             for record in records:
@@ -484,7 +463,7 @@ class CampaignSupervisor:
                 self.config.on_record(len(self.records))
 
     def _finish_shard(self, shard_id: int, attempt: int, worker_id: int) -> None:
-        self._release_worker(worker_id, shard_id)
+        self._pool.release(worker_id, shard_id)
         state = self._states.get(shard_id)
         if state is None or state.status in ("done", "quarantined"):
             return
@@ -555,9 +534,6 @@ class CampaignSupervisor:
         self._shard_started.setdefault(shard_id, time.monotonic())
         self._pool.send(worker_id, (remaining, state.attempts))
 
-    def _release_worker(self, worker_id: int, shard_id: int | None) -> None:
-        self._pool.release(worker_id, shard_id)
-
     def _promote_deferred(self, now: float) -> None:
         due = [sid for when, sid in self._deferred if when <= now]
         if not due:
@@ -584,7 +560,6 @@ class CampaignSupervisor:
                     self.config.backoff_base * (2 ** (state.attempts - 1)))
         state.status = "deferred"
         self._deferred.append((time.monotonic() + delay, shard_id))
-        self.shard_retries += 1
         self._registry.counter(
             "exec.shard_retries_total",
             help="shard re-dispatches after a failed attempt").inc()
@@ -645,7 +620,6 @@ class CampaignSupervisor:
             exitcode = process.exitcode
             shard_id = self._pool.worker_shard.get(worker_id)
             self._pool.kill(worker_id)
-            self.worker_deaths += 1
             self._registry.counter(
                 "exec.worker_deaths_total",
                 help="workers that died without a clean exit").inc()
@@ -699,39 +673,33 @@ class CampaignSupervisor:
 
 
 def run_parallel_campaign(
-    platform,
-    golden,
-    images,
+    payload: WorkerPayload,
     target_layers: list[str],
     sampling: dict,
     kind: str,
     location: str,
-    use_resume: bool,
-    config: ExecConfig,
     journal=None,
     completed_records: dict | None = None,
     progress=None,
-    fault_spec=None,
-    protection=None,
 ) -> ParallelOutcome:
     """Execute a campaign's outstanding plans on a supervised worker pool.
 
-    ``completed_records`` (e.g. loaded from a write-ahead journal) are
-    treated as done: their seqs are never dispatched and they appear in the
-    returned record set unchanged.  Falls back to the serial executor —
-    with identical results — on platforms without the ``fork`` start
-    method.
+    ``payload`` carries the plans and the campaign's :class:`ExecConfig`;
+    this function adds the per-worker BLAS budget, the shared golden cache
+    and the trace parent before forking.  ``completed_records`` (e.g.
+    loaded from a write-ahead journal) are treated as done: their seqs are
+    never dispatched and they appear in the returned record set unchanged.
+    Falls back to the serial executor — the same shard loop, with
+    identical results — on platforms without the ``fork`` start method.
     """
+    config = payload.config
     completed_records = dict(completed_records or {})
     if "fork" not in multiprocessing.get_all_start_methods():
         logger.warning("multiprocessing 'fork' start method unavailable; "
                        "running the campaign serially")
         from ..core.campaign import _run_serial
-        _run_serial(platform, golden, images, target_layers, sampling,
-                    kind, location, use_resume, journal, completed_records,
-                    injection_latency=config.injection_latency,
-                    fault_batch=config.fault_batch, progress=progress,
-                    fault_spec=fault_spec, protection=protection)
+        _run_serial(payload, target_layers, sampling, kind, location,
+                    journal, completed_records, progress=progress)
         return ParallelOutcome(records=completed_records)
     shards = plan_shards(sampling, completed=set(completed_records),
                          chunk_size=config.chunk_size, workers=config.workers,
@@ -741,8 +709,8 @@ def run_parallel_campaign(
         blas_threads = max(1, (os.cpu_count() or 1) // max(1, config.workers))
     registry = get_registry()
     shm = None
-    session = getattr(platform, "resume_session", None)
-    if config.shared_cache and use_resume and session is not None \
+    session = getattr(payload.platform, "resume_session", None)
+    if config.shared_cache and payload.use_resume and session is not None \
             and hasattr(session.cache, "entries"):
         entries = session.cache.entries()
         if entries:
@@ -761,20 +729,10 @@ def run_parallel_campaign(
                     "exec.shm_bytes",
                     help="bytes in the published shared golden cache"
                     ).set(float(shm.nbytes))
-    payload = WorkerPayload(platform=platform, golden=golden, images=images,
-                            plans={name: lp.plans
-                                   for name, lp in sampling.items()},
-                            use_resume=use_resume,
-                            batch_records=config.batch_records,
-                            blas_threads=blas_threads,
-                            shm_cache=shm,
-                            injection_latency=config.injection_latency,
-                            fault_batch=config.fault_batch,
-                            fault_spec=fault_spec,
-                            protection=protection,
-                            trace_parent=current_span_id(),
-                            fault=config.worker_fault)
-    supervisor = CampaignSupervisor(payload, shards, config, journal=journal,
+    payload = dataclasses.replace(payload, blas_threads=blas_threads,
+                                  shm_cache=shm,
+                                  trace_parent=current_span_id())
+    supervisor = CampaignSupervisor(payload, shards, journal=journal,
                                     kind=kind, location=location,
                                     progress=progress)
     supervisor.records = completed_records

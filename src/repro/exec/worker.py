@@ -24,7 +24,7 @@ timestamp)`` tuples):
 * ``("start", wid, (shard_id, attempt), t)`` — shard attempt began;
 * ``("records", wid, (shard_id, attempt, (record, ...)), t)`` — a **batch**
   of completed injections.  Batches are flushed when they reach
-  ``payload.batch_records`` and always on the shard boundary (and before an
+  ``payload.config.batch_records`` and always on the shard boundary (and before an
   ``error`` report, so partial progress survives a failing shard).  Batching
   replaces the one-message-per-record protocol whose per-record IPC
   dominated small campaigns; liveness is carried by the
@@ -58,7 +58,6 @@ import os
 import signal
 import time
 from dataclasses import dataclass
-from typing import Callable
 
 __all__ = ["WorkerPayload", "worker_main", "limit_blas_threads"]
 
@@ -74,27 +73,26 @@ _THREAD_ENV_VARS = (
 
 @dataclass
 class WorkerPayload:
-    """Everything a forked worker needs (inherited, never pickled)."""
+    """Everything :func:`repro.core.campaign.run_shard` needs to execute plans.
+
+    A forked worker inherits it (it is never pickled); the serial executor
+    builds the same payload and runs the same shard loop in-process.
+    """
 
     platform: object
     golden: object
     images: object
     plans: dict  # layer -> list of injection plans, indexed by seq
     use_resume: bool
-    #: records per result-queue message (flushed early on shard boundaries)
-    batch_records: int = 32
+    #: the campaign's :class:`repro.exec.ExecConfig` — the one source of
+    #: ``fault_batch``, ``batch_records``, ``injection_latency`` and the
+    #: ``worker_fault`` test hook
+    config: object
     #: BLAS/OMP thread budget per worker (None = leave the runtime alone)
     blas_threads: int | None = None
     #: shared-memory golden cache published by the supervisor (None = the
     #: worker keeps its fork-inherited private copy)
     shm_cache: object | None = None
-    #: bench/test hook: emulated per-injection device latency (seconds);
-    #: the serial executor honours the same knob so speedups stay apples
-    #: to apples (see benchmarks/bench_parallel_campaign.py)
-    injection_latency: float = 0.0
-    #: independent faults evaluated per forward pass (fault-axis batching);
-    #: records stay per-plan and bit-identical to the K=1 loop
-    fault_batch: int = 1
     #: the campaign's fault-model spec, stamped into records when
     #: non-default (``"single"``/None leaves records byte-identical)
     fault_spec: str | None = None
@@ -106,10 +104,6 @@ class WorkerPayload:
     #: its span-context stack with it so every worker span parents into
     #: the campaign's trace tree (see :mod:`repro.obs.tracing`)
     trace_parent: str | None = None
-    #: test hook: called as ``fault(worker_id, shard, attempt)`` before a
-    #: shard attempt executes — tests use it to hang, crash (``os._exit``)
-    #: or raise on chosen shards to exercise the supervision machinery
-    fault: Callable | None = None
 
 
 def limit_blas_threads(n: int) -> None:
@@ -141,7 +135,7 @@ def worker_main(worker_id: int, payload: WorkerPayload,
     if payload.blas_threads is not None:
         limit_blas_threads(payload.blas_threads)
 
-    from ..core.campaign import execute_injection_batch
+    from ..core.campaign import run_shard
     from ..obs.telemetry import get_registry
     from ..obs.tracing import BufferingTracer, get_tracer, seed_span_context, \
         set_tracer
@@ -174,8 +168,7 @@ def worker_main(worker_id: int, payload: WorkerPayload,
         # whatever thread state the fork happened to copy)
         seed_span_context(payload.trace_parent)
     registry = get_registry()
-    batch_size = max(1, int(payload.batch_records))
-    latency = float(payload.injection_latency or 0.0)
+    config = payload.config
 
     result_queue.put(("ready", worker_id,
                       {"pid": os.getpid(), "shm_adopted": shm_adopted},
@@ -191,58 +184,29 @@ def worker_main(worker_id: int, payload: WorkerPayload,
             result_queue.put(("start", worker_id, (shard.shard_id, attempt),
                               time.time()))
             failure = None
-            batch: list[dict] = []
 
-            def flush_batch():
-                if batch:
-                    result_queue.put(("records", worker_id,
-                                      (shard.shard_id, attempt, tuple(batch)),
-                                      time.time()))
-                    batch.clear()
+            def send(batch: list[dict]) -> None:
+                result_queue.put(("records", worker_id,
+                                  (shard.shard_id, attempt, tuple(batch)),
+                                  time.time()))
 
             # every metric the attempt touches (injection flip counters,
             # numeric-health streams, span timings) is captured as a delta
-            # and streamed back — worker registries die with the fork
+            # and streamed back — worker registries die with the fork.
+            # run_shard flushes completed records before an exception
+            # propagates, so they reach the supervisor ahead of the error.
             with registry.run_scope(
                     f"w{worker_id}-s{shard.shard_id}-a{attempt}") as scope:
                 try:
-                    span = (buffer.span("exec.worker_shard", attempt=attempt,
-                                        **shard.summary())
-                            if buffer is not None else None)
-                    if payload.fault is not None:
-                        payload.fault(worker_id, shard, attempt)
-                    plans = payload.plans[shard.layer]
-                    if span is not None:
-                        span.__enter__()
-                    try:
-                        seqs = list(shard.seqs)
-                        chunk = max(1, int(payload.fault_batch))
-                        for i in range(0, len(seqs), chunk):
-                            group = seqs[i:i + chunk]
-                            group_records = execute_injection_batch(
-                                payload.platform, payload.golden,
-                                payload.images,
-                                [plans[seq] for seq in group],
-                                payload.use_resume,
-                                fault_spec=payload.fault_spec,
-                                protection=payload.protection)
-                            for seq, record in zip(group, group_records):
-                                record["layer"] = shard.layer
-                                record["seq"] = seq
-                                batch.append(record)
-                                if len(batch) >= batch_size:
-                                    flush_batch()
-                            # one device round-trip serviced the whole chunk
-                            if latency > 0.0:
-                                time.sleep(latency)
-                    finally:
-                        if span is not None:
-                            span.__exit__(None, None, None)
+                    if config.worker_fault is not None:
+                        config.worker_fault(worker_id, shard, attempt)
+                    with get_tracer().span("exec.worker_shard",
+                                           attempt=attempt,
+                                           **shard.summary()):
+                        run_shard(payload, shard.layer, list(shard.seqs),
+                                  send, config.batch_records)
                 except BaseException as exc:  # noqa: BLE001 - report, don't die
                     failure = f"{type(exc).__name__}: {exc}"
-            # completed work always reaches the supervisor before the
-            # attempt's outcome does — even when the attempt failed
-            flush_batch()
             metrics = scope.delta()
             events = buffer.drain() if buffer is not None else []
             if metrics or events:

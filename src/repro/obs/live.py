@@ -30,17 +30,19 @@ started with ``run_campaign(serve="host:port")`` / ``repro campaign
   replaces — the existing JSONL sink.
 
 The progress state itself lives in :class:`CampaignProgress`, a
-thread-safe tracker the campaign runner threads through both executors:
-the serial loop and the parallel supervisor update the *same* object per
-accepted record (and journal-loaded records pre-fill it), so serial,
-parallel and fault-batched runs report identically — the per-layer SDC a
-scrape sees is folded in plan (``seq``) order exactly like
-:func:`repro.core.campaign.aggregate_layer`, making the endpoint's final
-numbers bit-identical to :class:`~repro.core.campaign.CampaignResult`.
+thread-safe tracker fed by the campaign's one accept step
+(:func:`repro.core.campaign.accept_records`), which the serial loop and
+the parallel supervisor share; journal-loaded records pre-fill it.  It
+keeps each layer's records by ``seq`` and folds them at read time with
+:func:`repro.core.campaign.fold_layer` — the same fold that builds
+:class:`~repro.core.campaign.CampaignResult` — so the endpoint's final
+numbers are bit-identical to the result by construction.
 
 ``repro watch URL|JOURNAL`` renders a curses-free terminal dashboard from
 either a live ``/progress`` endpoint or — for crashed or remote runs — a
-write-ahead journal file tailed via :func:`journal_progress`.
+write-ahead journal file tailed via :func:`journal_progress`, which runs
+the same fold over the journaled records and takes each layer's total
+from the plan sizes in the journal header.
 
 Lifecycle contract: ``run_campaign`` starts the server *before* the golden
 pass and always shuts it down in a ``finally`` — a SIGINT mid-campaign
@@ -101,14 +103,13 @@ SSE_NAME_PREFIXES = ("campaign.", "exec.")
 class CampaignProgress:
     """Thread-safe in-flight state of one injection campaign.
 
-    Updated synchronously by whichever executor runs the campaign — the
-    serial loop calls :meth:`record` per executed injection, the parallel
-    supervisor calls it per accepted record and :meth:`heartbeat` per
-    worker message — and read concurrently by the HTTP scrape threads and
-    the ``-v`` progress logger.  Per-layer SDC sums are kept per ``seq``
-    and folded in sorted-``seq`` order at snapshot time, so the reported
-    rate is bit-identical to :func:`repro.core.campaign.aggregate_layer`
-    however the records arrived.
+    Updated synchronously by the campaign's accept step — :meth:`record`
+    per accepted injection record, :meth:`heartbeat` per worker message —
+    and read concurrently by the HTTP scrape threads and the ``-v``
+    progress logger.  Records are kept per ``seq`` (last-wins) and folded
+    by :func:`repro.core.campaign.fold_layer` at snapshot time, so the
+    reported rate is bit-identical to the campaign result however the
+    records arrived.
     """
 
     def __init__(self, kind: str = "value", location: str = "neuron",
@@ -123,10 +124,8 @@ class CampaignProgress:
         self.state = "running"
         #: layer -> planned injections (set once sampling is done)
         self.totals: dict[str, int] = {}
-        #: layer -> {seq: sdc_rate} for in-flight SDC estimates
-        self._sdc: dict[str, dict[int, float]] = {}
-        #: layer -> executed/adopted record count
-        self.done: dict[str, int] = {}
+        #: layer -> {seq: record}, folded at snapshot time
+        self._records: dict[str, dict[int, dict]] = {}
         self.journal_prefilled = 0
         self.current_layer: str | None = None
         self._ewma_rate = 0.0
@@ -145,21 +144,24 @@ class CampaignProgress:
         with self._lock:
             self.totals = {layer: int(n) for layer, n in totals.items()}
 
-    def record(self, layer: str, seq: int, sdc_rate: float,
+    def record(self, layer: str, seq: int, record,
                prefill: bool = False) -> None:
-        """Fold one completed injection record into the live state.
+        """Add one completed injection record to the live state.
 
-        ``prefill=True`` marks a record adopted from the write-ahead
-        journal: it counts toward done/total and the SDC estimate but not
-        toward the live throughput EWMA (no work happened now).
+        ``record`` is the injection record dict; a bare float is shorthand
+        for a record holding only that SDC rate.  ``prefill=True`` marks a
+        record adopted from the write-ahead journal: it counts toward
+        done/total and the SDC estimate but not toward the live throughput
+        EWMA (no work happened now).
         """
+        if not isinstance(record, dict):
+            record = {"sdc_rate": float(record)}
         with self._lock:
-            per_layer = self._sdc.setdefault(layer, {})
-            if seq in per_layer:  # last-wins, like the journal
-                per_layer[seq] = float(sdc_rate)
+            per_layer = self._records.setdefault(layer, {})
+            fresh = seq not in per_layer
+            per_layer[seq] = record  # last-wins, like the journal
+            if not fresh:
                 return
-            per_layer[seq] = float(sdc_rate)
-            self.done[layer] = self.done.get(layer, 0) + 1
             self.current_layer = layer
             if prefill:
                 self.journal_prefilled += 1
@@ -199,16 +201,19 @@ class CampaignProgress:
     def counts(self) -> tuple[int, int]:
         """(done, total) across all layers."""
         with self._lock:
-            return sum(self.done.values()), sum(self.totals.values())
+            return self._done(), sum(self.totals.values())
+
+    def _done(self) -> int:
+        return sum(len(records) for records in self._records.values())
 
     def snapshot(self) -> dict:
         """The full ``progress/v1`` document (JSON-serialisable)."""
-        from ..analysis.confidence import wilson_interval
+        from ..core.campaign import fold_layer
 
         with self._lock:
             now = time.monotonic()
             elapsed = now - self._t0
-            done_total = sum(self.done.values())
+            done_total = self._done()
             plan_total = sum(self.totals.values())
             live_done = done_total - self.journal_prefilled
             overall = live_done / elapsed if elapsed > 0 else 0.0
@@ -221,23 +226,10 @@ class CampaignProgress:
             rate = ewma if ewma > 1e-9 else overall
             eta = remaining / rate if (remaining and rate > 1e-9) else (
                 0.0 if self.state == "running" or remaining == 0 else None)
-            layers = {}
-            for layer in self.totals:
-                records = self._sdc.get(layer, {})
-                performed = len(records)
-                # fold in sorted-seq order, exactly like aggregate_layer,
-                # so the final rate is bit-identical to CampaignResult
-                sdc_sum = 0.0
-                for seq in sorted(records):
-                    sdc_sum += records[seq]
-                sdc_rate = sdc_sum / performed if performed else 0.0
-                lo, hi = wilson_interval(sdc_sum, performed)
-                layers[layer] = {
-                    "done": performed,
-                    "total": self.totals[layer],
-                    "sdc_rate": sdc_rate,
-                    "sdc_ci95": [lo, hi],
-                }
+            layers = {
+                layer: _layer_entry(fold_layer(self._records.get(layer, {})),
+                                    total)
+                for layer, total in self.totals.items()}
             resume = None
             if self.resume_source is not None:
                 try:
@@ -297,6 +289,15 @@ class CampaignProgress:
             100.0 * snap["done"] / snap["total"] if snap["total"] else 0.0,
             snap["injections_per_sec_ewma"], _fmt_eta(eta),
             lp.get("sdc_rate", 0.0))
+
+
+def _layer_entry(stats: dict | None, total: int) -> dict:
+    """One layer's ``progress/v1`` entry from its ``fold_layer`` statistics."""
+    if stats is None:
+        return {"done": 0, "total": total, "sdc_rate": 0.0,
+                "sdc_ci95": [0.0, 1.0]}
+    return {"done": stats["injections"], "total": total,
+            "sdc_rate": stats["sdc_rate"], "sdc_ci95": stats["sdc_ci95"]}
 
 
 def _worker_state(heartbeat_age: float | None,
@@ -622,44 +623,36 @@ def fetch_progress(url: str, timeout: float = 5.0) -> dict:
 def journal_progress(path: str) -> dict:
     """A ``progress/v1`` view of a write-ahead journal file.
 
-    For crashed or remote campaigns the journal is the only live surface:
-    its fingerprinted header pins the plan size (layers x
-    injections_per_layer) and every flushed record carries its SDC rate,
-    so done/total and the in-flight SDC estimate reconstruct exactly.
-    Throughput/ETA are estimated from the records' own ``dur_s``.
+    For crashed or remote campaigns the journal is the only live surface.
+    Its header pins each layer's plan size (the ``plan`` key; journals
+    predating it fall back to ``injections_per_layer``), and every flushed
+    record carries its SDC rate, so done/total and the in-flight SDC
+    estimate reconstruct exactly — folded by the campaign's own
+    :func:`~repro.core.campaign.fold_layer`.  Throughput/ETA are estimated
+    from the records' own ``dur_s``.
     """
-    from ..analysis.confidence import wilson_interval
+    from ..core.campaign import fold_layer
     from ..exec.journal import load_journal
 
     header, records, corrupt, _skipped = load_journal(path)
-    fingerprint = (header or {}).get("fingerprint", {})
-    layer_names = list(fingerprint.get("layers", ()))
+    header = header or {}
+    fingerprint = header.get("fingerprint", {})
+    plan = header.get("plan") or {}
     budget = int(fingerprint.get("injections_per_layer", 0) or 0)
-    per_layer: dict[str, dict[int, dict]] = {}
+    per_layer: dict[str, dict[int, dict]] = {
+        layer: {} for layer in fingerprint.get("layers", ())}
     for (layer, seq), record in records.items():
         per_layer.setdefault(layer, {})[seq] = record
-    for layer in per_layer:
-        if layer not in layer_names:
-            layer_names.append(layer)
     layers = {}
-    total_done = 0
     dur_sum = 0.0
-    for layer in layer_names:
-        layer_records = per_layer.get(layer, {})
-        performed = len(layer_records)
-        total_done += performed
-        sdc_sum = 0.0
-        for seq in sorted(layer_records):
-            record = layer_records[seq]
-            sdc_sum += float(record.get("sdc_rate", 0.0) or 0.0)
-            dur_sum += float(record.get("dur_s", 0.0) or 0.0)
-        lo, hi = wilson_interval(sdc_sum, performed)
-        layers[layer] = {
-            "done": performed,
-            "total": max(budget, performed),
-            "sdc_rate": sdc_sum / performed if performed else 0.0,
-            "sdc_ci95": [lo, hi],
-        }
+    for layer, layer_records in per_layer.items():
+        stats = fold_layer(layer_records)
+        done = len(layer_records)
+        layers[layer] = _layer_entry(
+            stats, int(plan.get(layer, max(budget, done))))
+        if stats is not None:
+            dur_sum += stats["seconds"]
+    total_done = sum(entry["done"] for entry in layers.values())
     total = sum(entry["total"] for entry in layers.values())
     rate = total_done / dur_sum if dur_sum > 0 else 0.0
     remaining = max(0, total - total_done)
@@ -670,7 +663,7 @@ def journal_progress(path: str) -> dict:
         "campaign": {"kind": fingerprint.get("kind", "?"),
                      "location": fingerprint.get("location", "?"),
                      "format": fingerprint.get("format", "?")},
-        "started_at": (header or {}).get("created"),
+        "started_at": header.get("created"),
         "elapsed_s": dur_sum,
         "done": total_done,
         "total": total,

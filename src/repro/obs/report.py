@@ -83,36 +83,25 @@ def _metric_value(metrics: dict, name: str, default: float = 0.0,
 
 
 def _per_layer_injection_stats(events: list[dict]) -> dict[str, dict]:
-    """Re-aggregate ``campaign.injection`` events offline, per layer."""
+    """Re-aggregate ``campaign.injection`` events offline, per layer.
+
+    Events fold through the campaign's own
+    :func:`~repro.core.campaign.fold_layer` in ``seq`` order, so a single
+    campaign's trace reproduces its ``CampaignResult`` bit for bit.  Events
+    are keyed by ``(seq, arrival)``: a trace holding several campaigns
+    keeps every event, and events without a ``seq`` (older traces) fold in
+    arrival order.
+    """
+    from ..core.campaign import fold_layer
+
     layers: dict[str, dict] = {}
     for event in events:
         if event.get("name") != "campaign.injection":
             continue
-        layer = str(event.get("layer", "?"))
-        s = layers.setdefault(layer, {
-            "injections": 0, "delta_loss_sum": 0.0, "max_delta_loss": 0.0,
-            "mismatch_sum": 0.0, "sdc_sum": 0.0, "seconds": 0.0,
-        })
-        s["injections"] += 1
-        dl = float(event.get("delta_loss", 0.0) or 0.0)
-        s["delta_loss_sum"] += dl
-        if dl > s["max_delta_loss"]:
-            s["max_delta_loss"] = dl
-        s["mismatch_sum"] += float(event.get("mismatch_rate", 0.0) or 0.0)
-        s["sdc_sum"] += float(event.get("sdc_rate", 0.0) or 0.0)
-        s["seconds"] += float(event.get("dur_s", 0.0) or 0.0)
-    out: dict[str, dict] = {}
-    for layer, s in layers.items():
-        n = s["injections"]
-        out[layer] = {
-            "injections": n,
-            "mean_delta_loss": s["delta_loss_sum"] / n if n else 0.0,
-            "max_delta_loss": s["max_delta_loss"],
-            "mismatch_rate": s["mismatch_sum"] / n if n else 0.0,
-            "sdc_rate": s["sdc_sum"] / n if n else 0.0,
-            "seconds": s["seconds"],
-        }
-    return out
+        records = layers.setdefault(str(event.get("layer", "?")), {})
+        arrival = len(records)
+        records[(event.get("seq", arrival), arrival)] = event
+    return {layer: fold_layer(records) for layer, records in layers.items()}
 
 
 def build_report(metrics: dict | None = None,

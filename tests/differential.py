@@ -17,6 +17,12 @@ covers:
   counters and ``campaign.injections_total``), summed across labels and
   stripped of ``worker`` tags.
 
+Every mode also checks, bit for bit, that each surface re-deriving the
+per-layer results agrees with the mode's own ``CampaignResult`` (see
+:func:`check_surfaces`): the served ``/progress`` document, the report
+rebuilt from the JSONL trace and — when the mode journals —
+``journal_progress`` on the journal.
+
 For the ``resumed`` mode the campaign is interrupted mid-flight (a real
 SIGINT delivered from the supervisor's ``on_record`` hook) and then
 resumed from its write-ahead journal; the outcome combines both sub-runs
@@ -37,7 +43,8 @@ from repro.core import GoldenEye, run_campaign
 from repro.exec import ExecConfig
 
 __all__ = ["MODES", "DifferentialOutcome", "layer_stats",
-           "injection_multiset", "counter_totals", "run_mode"]
+           "injection_multiset", "counter_totals", "check_surfaces",
+           "run_mode"]
 
 #: every execution mode the harness can drive.  A ``-kN`` suffix runs the
 #: same campaign with fault-axis batching (``fault_batch=N``): K independent
@@ -95,6 +102,54 @@ def counter_totals(snapshot, prefixes=DETERMINISTIC_COUNTER_PREFIXES) -> dict:
     return out
 
 
+def check_surfaces(result, events, journal=None, progress=None) -> None:
+    """Assert every per-layer surface reproduces ``result`` bit for bit.
+
+    * ``build_report(events=...)`` — ``repro report`` on the trace: count,
+      mean/max ΔLoss, mismatch and SDC rates per layer;
+    * ``progress`` (a served ``/progress`` document) and
+      ``journal_progress(journal)`` — done and SDC rate per layer, the same
+      Wilson interval on both, and — for a complete campaign — a total
+      equal to the plan size actually executed.
+    """
+    from repro.obs.live import journal_progress
+    from repro.obs.report import build_report
+
+    expected = {name: (r.injections, r.mean_delta_loss, r.max_delta_loss,
+                       r.mismatch_rate, r.sdc_rate)
+                for name, r in result.per_layer.items()}
+    report = build_report(events=events)
+    got = {row["layer"]: (row["injections"], row["mean_delta_loss"],
+                          row["max_delta_loss"], row["mismatch_rate"],
+                          row["sdc_rate"])
+           for row in report["layers"]}
+    assert got == expected, f"trace report != result:\n{got}\n{expected}"
+
+    complete = not (result.interrupted or result.quarantined)
+    docs = {"/progress": progress}
+    if journal is not None:
+        docs["journal"] = journal_progress(journal)
+    intervals = []
+    for what, doc in docs.items():
+        if doc is None:
+            continue
+        layers = {name: entry for name, entry in doc["layers"].items()
+                  if entry["done"]}
+        got = {name: (entry["done"], entry["sdc_rate"])
+               for name, entry in layers.items()}
+        want = {name: (r.injections, r.sdc_rate)
+                for name, r in result.per_layer.items()}
+        assert got == want, f"{what} != result:\n{got}\n{want}"
+        if complete:
+            assert all(entry["total"] == entry["done"]
+                       for entry in layers.values()), \
+                f"{what} totals overstate the executed plan: {layers}"
+            assert doc["done"] == doc["total"], what
+        intervals.append({name: entry["sdc_ci95"]
+                          for name, entry in layers.items()})
+    assert all(ci == intervals[0] for ci in intervals), intervals
+
+
 def _sum_counters(*totals: dict) -> dict:
     merged: dict = {}
     for t in totals:
@@ -135,7 +190,7 @@ def _traced_campaign(model, format_spec, data, trace_path,
 
 def run_mode(mode: str, model, format_spec, data, tmp_path, *,
              injections_per_layer: int = 5, seed: int = 13,
-             interrupt_after: int = 4, serve: bool = False,
+             interrupt_after: int = 4, serve: bool = True,
              fault_model="single", protect="none",
              layers=None, ledger=None) -> DifferentialOutcome:
     """Run the seeded campaign under ``mode`` and bundle its surfaces.
@@ -153,11 +208,13 @@ def run_mode(mode: str, model, format_spec, data, tmp_path, *,
     ``resumed`` mode both the interrupted and the resuming run record
     (the resume updates the original row in place).
 
-    ``serve=True`` additionally runs the campaign with a live observability
-    server on an ephemeral port and captures the final schema-validated
-    ``/progress`` document in :attr:`DifferentialOutcome.progress` — the
-    harness owns the server's lifecycle so the endpoint is still answering
-    *after* ``run_campaign`` returns (the sealed final state).
+    ``serve=True`` (the default) runs the campaign with a live
+    observability server on an ephemeral port and captures the final
+    schema-validated ``/progress`` document in
+    :attr:`DifferentialOutcome.progress` — the harness owns the server's
+    lifecycle so the endpoint is still answering *after* ``run_campaign``
+    returns (the sealed final state).  Every mode then runs
+    :func:`check_surfaces` on its result.
     """
     label, fault_batch = mode, 1
     if "-k" in mode:
@@ -172,6 +229,7 @@ def run_mode(mode: str, model, format_spec, data, tmp_path, *,
         from repro.obs.live import LiveServer
         server = LiveServer.start("127.0.0.1:0")
         common["serve"] = server
+    journal = None
     try:
         if mode == "serial":
             result, metrics, events = _traced_campaign(
@@ -211,15 +269,15 @@ def run_mode(mode: str, model, format_spec, data, tmp_path, *,
                                ("campaign.injections_total",)),
                 counter_totals(resumed_metrics,
                                ("campaign.injections_total",)))
-            return DifferentialOutcome(result, layer_stats(result),
-                                       injection_multiset(events), counters,
-                                       progress=_final_progress(server))
         else:
             raise ValueError(f"unknown differential mode {mode!r}")
+        if mode != "resumed":
+            counters = counter_totals(metrics)
+        progress = _final_progress(server)
+        check_surfaces(result, events, journal=journal, progress=progress)
         return DifferentialOutcome(result, layer_stats(result),
-                                   injection_multiset(events),
-                                   counter_totals(metrics),
-                                   progress=_final_progress(server))
+                                   injection_multiset(events), counters,
+                                   progress=progress)
     finally:
         if server is not None:
             server.close()

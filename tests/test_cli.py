@@ -1,5 +1,7 @@
 """Tests for the command-line interface (python -m repro ...)."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,18 @@ class TestParser:
             assert args.trace == "t.jsonl"
             assert args.metrics_json == "m.json"
             assert args.verbose == 2
+
+
+class TestLogging:
+    def test_main_leaves_repro_logger_as_it_found_it(self, monkeypatch):
+        # a handler left bound to this call's sys.stderr would later write
+        # to a closed stream ("--- Logging error --- ValueError")
+        logger = logging.getLogger("repro")
+        monkeypatch.setattr(logger, "handlers", [])
+        level = logger.level
+        assert main(["sites", "-v"]) == 0
+        assert logger.handlers == []
+        assert logger.level == level
 
 
 class TestCommands:

@@ -599,6 +599,47 @@ class TestWatch:
         for layer, stats in result.per_layer.items():
             assert doc["layers"][layer]["sdc_rate"] == stats.sdc_rate
 
+    # fc3 has 4 outputs x 16 fp16 bits = 64 single-bit sites, fewer than
+    # the 100-injection budget: sampling exhausts the layer, and the
+    # exhaustive model ignores the budget altogether
+    @pytest.mark.parametrize("fault_model", ["single", "exhaustive"])
+    def test_journal_totals_are_plan_sizes_not_the_budget(
+            self, model, tmp_path, fresh_global_registry, fault_model):
+        images, labels = _make_data()
+        journal = str(tmp_path / f"{fault_model}.journal.jsonl")
+        with GoldenEye(model, "fp16") as platform:
+            result = run_campaign(platform, images, labels,
+                                  injections_per_layer=100, seed=SEED,
+                                  layers=["fc3"], fault_model=fault_model,
+                                  journal=journal)
+        performed = result.per_layer["fc3"].injections
+        assert performed < 100
+        doc = journal_progress(journal)
+        assert doc["layers"]["fc3"]["total"] == performed
+        assert doc["done"] == doc["total"] == performed
+        assert doc["eta_s"] is None
+
+    def test_journal_without_plan_sizes_falls_back_and_resumes(
+            self, model, tmp_path, fresh_global_registry):
+        images, labels = _make_data()
+        journal = tmp_path / "old.journal.jsonl"
+        kwargs = dict(injections_per_layer=100, seed=SEED, layers=["fc3"],
+                      journal=str(journal))
+        with GoldenEye(model, "fp16") as platform:
+            first = run_campaign(platform, images, labels, **kwargs)
+        # rewrite the header the way journals predating plan sizes look
+        lines = journal.read_text().splitlines()
+        header = json.loads(lines[0])
+        del header["plan"]
+        journal.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        doc = journal_progress(str(journal))
+        assert doc["layers"]["fc3"]["total"] == 100  # the budget, as before
+        with GoldenEye(model, "fp16") as platform:
+            again = run_campaign(platform, images, labels, **kwargs)
+        performed = first.per_layer["fc3"].injections
+        assert again.telemetry["journal_skipped"] == performed
+        assert again.per_layer["fc3"].sdc_rate == first.per_layer["fc3"].sdc_rate
+
     def test_render_dashboard_shows_bars_and_ci(self):
         p = CampaignProgress(format_name="fp16")
         p.set_plan({"fc1": 4, "fc2": 4})

@@ -790,6 +790,33 @@ class TestReport:
             pytest.approx(0.05)
         assert len(report["quarantined"]) == 1
 
+    def test_trace_report_folds_in_seq_order(self):
+        # rates whose float sum is order-sensitive, traced out of seq order
+        # (as a parallel run interleaves them): the report must fold like
+        # aggregate_layer, in seq order
+        rates = [0.913, 0.607, 0.729, 0.544, 0.935]
+        events = [{"type": "event", "name": "campaign.injection",
+                   "layer": "fc", "seq": seq, "bits": [0],
+                   "delta_loss": rates[seq], "mismatch_rate": rates[seq],
+                   "sdc_rate": rates[seq], "dur_s": 0.0}
+                  for seq in (3, 0, 4, 1, 2)]
+        expected = 0.0
+        for rate in rates:
+            expected += rate
+        expected /= len(rates)
+        (row,) = build_report(events=events)["layers"]
+        assert row["sdc_rate"] == expected
+        assert row["mismatch_rate"] == expected
+        assert row["mean_delta_loss"] == float(np.mean(rates))
+        # the same events without seq fold in arrival order
+        arrival = 0.0
+        for event in events:
+            arrival += event["sdc_rate"]
+        unordered = [{k: v for k, v in e.items() if k != "seq"}
+                     for e in events]
+        (row,) = build_report(events=unordered)["layers"]
+        assert row["sdc_rate"] == arrival / len(rates)
+
     def test_report_from_single_artifact(self):
         metrics, events = self._artifacts()
         assert validate_report(build_report(metrics=metrics))
