@@ -741,7 +741,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=int, default=16,
                    help="validation samples per injected inference")
     group = p.add_argument_group("robust execution")
-    group.add_argument("--workers", type=int, default=1,
+    group.add_argument("--workers", type=_positive_int("--workers"),
+                       default=1,
                        help="worker processes (>= 2 enables the supervised "
                             "parallel executor; results are bit-identical "
                             "to serial)")
@@ -752,17 +753,20 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--shard-timeout", type=float, default=None,
                        help="seconds before a stuck shard attempt is killed "
                             "and retried (then quarantined)")
-    group.add_argument("--batch-records", type=int, default=32,
+    group.add_argument("--batch-records",
+                       type=_positive_int("--batch-records"), default=32,
                        help="records per worker result message / journal "
                             "line (flushed early on shard boundaries)")
     group.add_argument("--no-shared-cache", action="store_true",
                        help="do not publish the golden activation cache to "
                             "shared memory; each worker keeps its "
                             "fork-inherited copy-on-write cache")
-    group.add_argument("--fault-batch", type=int, default=1,
-                       help="independent neuron-value faults evaluated per "
-                            "forward pass (fault-axis batching); records "
-                            "stay bit-identical to --fault-batch 1")
+    group.add_argument("--fault-batch", type=_positive_int("--fault-batch"),
+                       default=1,
+                       help="plans handed to each injection-batch call of "
+                            "the shard loop (a chunk size; every plan runs "
+                            "its own injected inference, so records are "
+                            "identical at any value)")
     group.add_argument("--serve", metavar="HOST:PORT", default=None,
                        help="serve live observability while the campaign "
                             "runs: /metrics (Prometheus), /progress "
@@ -794,7 +798,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="injections per layer for the ranking campaign")
     p.add_argument("--batch", type=int, default=16,
                    help="validation samples per injected inference")
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=_positive_int("--workers"), default=1,
                    help="worker processes for the ranking campaign")
     _add_fault_args(p, default_protect="secded")
     p.add_argument("--budget-bits", type=_positive_int("--budget-bits"),

@@ -402,15 +402,6 @@ def _build_record(plan, metrics: dict | None, dur: float, fault_spec,
     return record
 
 
-def _score(golden: InferenceOutcome, faulty_logits, plan) -> dict:
-    """:func:`compare_outcomes` of one plan's faulty logits."""
-    faulty = InferenceOutcome(
-        logits=_compose_temporal(faulty_logits, golden.logits,
-                                 getattr(plan, "persist", 0)),
-        labels=golden.labels)
-    return compare_outcomes(golden, faulty)
-
-
 def execute_injection(
     platform: GoldenEye,
     golden: InferenceOutcome,
@@ -446,7 +437,11 @@ def execute_injection(
         else:
             faulty_logits = golden_inference(platform, images,
                                              golden.labels).logits
-    metrics = _score(golden, faulty_logits, plan)
+    faulty = InferenceOutcome(
+        logits=_compose_temporal(faulty_logits, golden.logits,
+                                 getattr(plan, "persist", 0)),
+        labels=golden.labels)
+    metrics = compare_outcomes(golden, faulty)
     return _build_record(plan, metrics, time.perf_counter() - t_inj,
                          fault_spec, verdict)
 
@@ -454,22 +449,6 @@ def execute_injection(
 def plan_kind(plan) -> str:
     """The injection kind of a plan (``"value"`` or ``"metadata"``)."""
     return "value" if isinstance(plan, ValueInjection) else "metadata"
-
-
-def plans_can_batch(plans) -> bool:
-    """True when ``plans`` may share one fault-axis batched forward pass.
-
-    Batching tiles the evaluation batch K times and corrupts one replica
-    lane per plan, so it applies only to same-layer neuron *value* plans
-    sharing one bit operation — metadata and weight corruptions perturb
-    state shared across the whole pass and must execute one at a time.
-    """
-    if not plans:
-        return False
-    first = plans[0]
-    return all(isinstance(p, ValueInjection) and p.location == "neuron"
-               and p.layer == first.layer and p.op == first.op
-               for p in plans)
 
 
 def execute_injection_batch(
@@ -481,19 +460,12 @@ def execute_injection_batch(
     fault_spec=None,
     protection=None,
 ) -> list[dict]:
-    """Run K independent injections in one batched pass; K per-plan records.
+    """Run a chunk of plans through :func:`execute_injection`, in order.
 
-    Record ``k`` is bit-identical to :func:`execute_injection` for
-    ``plans[k]`` (the batched forward is lane-exact — see
-    :meth:`repro.core.goldeneye.GoldenEye.forward_from_batched`) except for
-    ``dur_s``, which amortizes the shared forward across the K plans.
-    Falls back to the sequential per-plan loop when the plans cannot share
-    a pass (metadata/weight plans, mixed layers) or when K == 1.
-
-    ECC-corrected/-detected plans are partitioned out before the forward —
-    only the live (silent/unprotected) plans share the batched pass — and
-    their golden-outcome records are spliced back in plan order, so the
-    record sequence matches the serial path exactly.
+    Record ``k`` is exactly :func:`execute_injection` for ``plans[k]``,
+    including its own ``dur_s``.  ECC-corrected/-detected plans skip the
+    injected inference and get a golden-outcome record with ``dur_s`` 0.0;
+    a silent verdict is stamped on the live plan's record.
 
     When tracing is enabled each call is wrapped in a ``campaign.batch``
     span (layer + chunk size) — the innermost level of the
@@ -505,29 +477,17 @@ def execute_injection_batch(
         return []
     with get_tracer().span("campaign.batch", layer=plans[0].layer,
                            size=len(plans)):
-        out: list = [None] * len(plans)
-        live: list[tuple[int, object, str | None]] = []
-        for i, plan in enumerate(plans):
+        out = []
+        for plan in plans:
             verdict = _classify_ecc(protection, plan)
             if verdict in ("corrected", "detected"):
-                out[i] = _build_record(plan, None, 0.0, fault_spec, verdict)
-            else:
-                live.append((i, plan, verdict))
-        live_plans = [plan for _, plan, _ in live]
-        if len(live_plans) <= 1 or not plans_can_batch(live_plans):
-            for i, plan, verdict in live:
-                out[i] = execute_injection(platform, golden, images, plan,
-                                           use_resume, fault_spec=fault_spec)
-                if verdict is not None:
-                    out[i]["ecc"] = verdict
-            return out
-        t_batch = time.perf_counter()
-        lane_logits = platform.forward_from_batched(live_plans[0].layer,
-                                                    live_plans, images)
-        dur = (time.perf_counter() - t_batch) / len(live_plans)
-        for k, (i, plan, verdict) in enumerate(live):
-            out[i] = _build_record(plan, _score(golden, lane_logits[k], plan),
-                                   dur, fault_spec, verdict)
+                out.append(_build_record(plan, None, 0.0, fault_spec, verdict))
+                continue
+            record = execute_injection(platform, golden, images, plan,
+                                       use_resume, fault_spec=fault_spec)
+            if verdict is not None:
+                record["ecc"] = verdict
+            out.append(record)
         return out
 
 
@@ -599,7 +559,7 @@ def run_shard(payload, layer: str, seqs: list[int], sink,
 
     Plans of ``payload`` (a :class:`repro.exec.worker.WorkerPayload`) run
     in ``config.fault_batch`` chunks through :func:`execute_injection_batch`
-    with one ``config.injection_latency`` sleep per chunk; records are
+    with one ``config.injection_latency`` sleep per plan; records are
     stamped with ``layer``/``seq`` and reach ``sink`` in lists of
     ``every``, always before an exception propagates.  Serial runs call it
     per layer with ``every=1`` and :func:`accept_records` as sink; workers
@@ -626,7 +586,7 @@ def run_shard(payload, layer: str, seqs: list[int], sink,
                     batch, pending = pending, []
                     sink(batch)
             if latency > 0.0:
-                time.sleep(latency)  # one device round-trip per chunk
+                time.sleep(latency * len(group))  # one round-trip per plan
     finally:
         if pending:
             sink(pending)
@@ -801,10 +761,10 @@ def run_campaign(
     ``batch_records`` sets how many records a worker packs per result
     message / journal line, and ``shared_cache=False`` disables publishing
     the golden activation cache to shared memory (each worker then keeps
-    its fork-inherited copy-on-write cache).  ``fault_batch=K`` evaluates K
-    independent neuron-value injections per forward pass (fault-axis
-    batching, see :func:`execute_injection_batch`) — per-plan records, seq
-    ordering, journal framing and telemetry stay bit-identical to K=1.
+    its fork-inherited copy-on-write cache).  ``fault_batch=K`` hands the
+    shard loop's plans to :func:`execute_injection_batch` K at a time; each
+    plan still runs its own injected inference, so records, seq ordering,
+    journal framing and telemetry are identical at any K.
     ``exec_config`` (a :class:`repro.exec.ExecConfig`) overrides every one
     of these knobs and exposes test hooks.
 

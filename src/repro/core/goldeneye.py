@@ -30,8 +30,8 @@ from ..nn.tensor import Tensor
 from ..obs.telemetry import get_registry
 from ..obs.tracing import get_tracer
 from .detector import RangeDetector
-from .injection import InjectionEngine, ValueInjection
-from .resume import DEFAULT_CACHE_BUDGET, ResumeSession, _BatchedReplay
+from .injection import InjectionEngine
+from .resume import DEFAULT_CACHE_BUDGET, ResumeSession
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..obs.numerics import NumericHealthMonitor
@@ -145,8 +145,6 @@ class GoldenEye:
         self.layers: dict[str, LayerState] = {}
         #: checkpoint-and-resume session (see :meth:`enable_resume`)
         self.resume_session: ResumeSession | None = None
-        #: (lanes, per_replica_batch) while a fault-axis batched pass runs
-        self._fault_lanes: tuple[int, int] | None = None
         self._build_layer_states(number_format, targets)
 
     # ------------------------------------------------------------------
@@ -285,9 +283,6 @@ class GoldenEye:
     def _make_hook(self, state: LayerState):
         def hook(module: nn.Module, inputs, output: nn.Tensor):
             data = output.data
-            if self._fault_lanes is not None:
-                return _straight_through(output,
-                                         self._lane_postprocess(state, data))
             prof = self.profiler
             if prof is not None:
                 # books the `compute` phase (pre-hook stamp -> hook entry)
@@ -319,42 +314,6 @@ class GoldenEye:
             return _straight_through(output, quantized)
 
         return hook
-
-    def _lane_postprocess(self, state: LayerState,
-                          data: np.ndarray) -> np.ndarray:
-        """Quantize + inject a fault-axis batched layer output.
-
-        The tensor stacks ``lanes`` replicas of the evaluation batch along
-        axis 0.  Stateless formats quantize elementwise, so the whole stack
-        converts in one pass and all lane corruptions land in a single
-        :func:`~repro.formats.vectorized.flip_values_batched` call.  Formats
-        with tensor-global metadata (scale / bias / block registers) must
-        quantize each replica separately — the registers the K=1 pass would
-        capture — with that lane's corruption applied while its metadata is
-        live.
-        """
-        lanes, batch = self._fault_lanes
-        fmt = state.neuron_format
-        if fmt is not None and fmt.has_metadata:
-            quantized = np.empty(data.shape, dtype=np.float32)
-            for k in range(lanes):
-                lane = slice(k * batch, (k + 1) * batch)
-                lane_q = fmt.real_to_format_tensor(data[lane])
-                state.neuron_golden_metadata = _metadata_snapshot(fmt)
-                state.last_output_shape = lane_q.shape
-                quantized[lane] = self.injector.apply_lane_injection(
-                    state, lane_q, k)
-        else:
-            if fmt is not None:
-                quantized = fmt.real_to_format_tensor(data)
-            else:
-                quantized = data.copy()
-            state.last_output_shape = (batch,) + quantized.shape[1:]
-            quantized = self.injector.apply_lane_injections(
-                state, quantized, lanes)
-        if self.detector is not None:
-            quantized = self.detector.clamp(state.name, quantized)
-        return quantized
 
     # ------------------------------------------------------------------
     # checkpoint-and-resume partial execution (see core/resume.py)
@@ -422,58 +381,22 @@ class GoldenEye:
 
     def forward_from_batched(self, layer: str, plans,
                              images: np.ndarray) -> np.ndarray:
-        """Evaluate K independent value injections in one forward pass.
+        """Evaluate K injections, one :meth:`forward_from` per plan.
 
-        The evaluation batch is tiled K times along axis 0 — one replica
-        *lane* per plan — and the suffix below ``layer`` runs once over the
-        stack, with plan ``k``'s corruption applied only to lane ``k``
-        (every lane's flip lands in a single
-        :func:`~repro.formats.vectorized.flip_values_batched` call for
-        stateless formats).  When a golden recording exists the cached
-        prefix is tiled instead of recomputed.  Returns logits of shape
-        ``(K, batch, ...)``: ``out[k]`` is bit-identical to
-        ``forward_from(layer, images)`` with ``plans[k]`` armed alone
-        (GEMMs are lane-chunked — :mod:`repro.nn.lanes` — so BLAS sees the
-        exact K=1 shapes).
-
-        Only same-layer neuron *value* plans batch; metadata and weight
-        plans perturb shared state and must go through the per-plan path.
+        Each plan is armed alone for its own pass, so ``out[k]`` is exactly
+        ``forward_from(layer, images)`` with ``plans[k]`` armed.  Returns
+        logits stacked to shape ``(K, batch, ...)``.
         """
-        state = self.layers.get(layer)
-        if state is None:
+        if layer not in self.layers:
             raise KeyError(f"layer {layer!r} is not instrumented")
         plans = list(plans)
         if not plans:
             raise ValueError("forward_from_batched needs at least one plan")
+        outs = []
         for plan in plans:
-            if not isinstance(plan, ValueInjection) or plan.location != "neuron":
-                raise ValueError(
-                    f"only neuron value plans can batch, got {plan!r}")
-            if plan.layer != layer:
-                raise ValueError(
-                    f"plan targets layer {plan.layer!r}, expected {layer!r}")
-        images = np.asarray(images, dtype=np.float32)
-        lanes, batch = len(plans), images.shape[0]
-        session = self.resume_session
-        start = None
-        if session is not None and session.recorded:
-            start = session.start_index_for(state.module)
-        tiled = np.tile(images, (lanes,) + (1,) * (images.ndim - 1))
-        self.model.eval()
-        with self.injector.armed(*plans):
-            self._fault_lanes = (lanes, batch)
-            try:
-                with nn.no_grad(), np.errstate(over="ignore", invalid="ignore"), \
-                        nn.lane_scope(lanes):
-                    if start is None:
-                        logits = self.model(Tensor(tiled))
-                    else:
-                        replay = _BatchedReplay(session, start, lanes)
-                        logits = self.model.forward_from(replay, Tensor(tiled))
-            finally:
-                self._fault_lanes = None
-        out = logits.data.copy()
-        return out.reshape((lanes, batch) + out.shape[1:])
+            with self.injector.armed(plan):
+                outs.append(self.forward_from(layer, images))
+        return np.stack(outs)
 
     # ------------------------------------------------------------------
     # convenience

@@ -31,7 +31,8 @@ import numpy as np
 from ..formats.base import NumberFormat
 from ..formats.bfp import BlockFloatingPoint
 from ..formats.bitstring import flip_bit, set_bit
-from ..formats.vectorized import flip_value, flip_values, flip_values_batched
+# flip_values_batched is unused here; perfbench/spans.py patches it by name
+from ..formats.vectorized import flip_value, flip_values, flip_values_batched  # noqa: F401
 from ..obs.telemetry import get_registry
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -237,67 +238,6 @@ class InjectionEngine:
                                                      blocks=blocks, op=plan.op)
         self.injections_applied += 1
         self._count_flip("value", "neuron")
-        return out
-
-    # ------------------------------------------------------------------
-    # fault-axis batched application (one replica lane per armed plan)
-    # ------------------------------------------------------------------
-    def _lane_plans(self, state: "LayerState") -> list[ValueInjection]:
-        return [p for p in self._neuron_plans if p.layer == state.name]
-
-    def apply_lane_injection(self, state: "LayerState", quantized: np.ndarray,
-                             lane: int) -> np.ndarray:
-        """Apply only lane ``lane``'s armed plan to one replica's tensor.
-
-        Used for metadata-bearing formats, whose registers are live for a
-        single replica at a time — the corruption must run against lane
-        ``lane``'s freshly captured metadata.
-        """
-        plans = self._lane_plans(state)
-        if not plans:
-            return quantized
-        return self._corrupt_neuron_value(state, plans[lane], quantized)
-
-    def apply_lane_injections(self, state: "LayerState",
-                              quantized: np.ndarray,
-                              lanes: int) -> np.ndarray:
-        """Apply all K armed plans to a fault-stacked tensor in one pass.
-
-        ``quantized`` holds ``lanes`` replicas of the evaluation batch along
-        axis 0; armed plan ``k`` corrupts only replica ``k``, at its own
-        site with its own bits — a single
-        :func:`~repro.formats.vectorized.flip_values_batched` call over the
-        gathered victim column.  Stateless formats only (no block/scale
-        registers to track per lane).
-        """
-        plans = self._lane_plans(state)
-        if not plans:
-            return quantized
-        out = quantized.copy()
-        total = out.shape[0] if out.ndim >= 1 else 1
-        batch = total // lanes
-        per_sample = out.reshape(total, -1)
-        sample_size = per_sample.shape[1]
-        for plan in plans:
-            if plan.flat_index >= sample_size:
-                raise InjectionError(
-                    f"flat_index {plan.flat_index} out of range for layer "
-                    f"{state.name} per-sample output of {sample_size} elements"
-                )
-        ops = {p.op for p in plans}
-        if len(ops) > 1:
-            raise InjectionError(
-                f"lane-batched plans must share one bit operation, got {ops}")
-        rows = np.arange(total)
-        cols = np.repeat(
-            np.array([p.flat_index for p in plans], dtype=np.int64), batch)
-        column = per_sample[rows, cols]
-        per_sample[rows, cols] = flip_values_batched(
-            state.neuron_format, column, [p.bits for p in plans],
-            op=plans[0].op)
-        for _ in plans:
-            self.injections_applied += 1
-            self._count_flip("value", "neuron")
         return out
 
     def _corrupt_neuron_metadata(self, state: "LayerState", plan: MetadataInjection,

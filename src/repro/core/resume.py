@@ -439,52 +439,3 @@ class ResumeSession:
         finally:
             self._mode = "idle"
 
-
-class _BatchedReplay:
-    """Replay controller that tiles the cached golden prefix across K lanes.
-
-    A fault-axis batched pass (:meth:`repro.core.goldeneye.GoldenEye.
-    forward_from_batched`) runs the model once over K stacked replicas of
-    the evaluation batch.  Every replica shares the same golden prefix, so a
-    cached activation recorded for the B-sample batch is replayed as its
-    K-fold tile along axis 0 — one copy per lane, recorded once.  Replay
-    decisions (position counting, start index, order checking, cache-miss
-    recomputation) are exactly :meth:`ResumeSession.intercept`'s, and all
-    counters fold into the owning session's :class:`CacheStats`, so one
-    batched pass books the same hits/replays a single K=1 pass would.
-    """
-
-    def __init__(self, session: ResumeSession, start_index: int, lanes: int):
-        session._require_owner("replay from")
-        if not session.recorded:
-            raise RuntimeError("no golden pass recorded; use recording() first")
-        self._session = session
-        self._start = int(start_index)
-        self._lanes = int(lanes)
-        self._pos = 0
-        self._diverged = False
-
-    def intercept(self, module: Module, inputs):
-        session = self._session
-        if self._diverged:
-            return COMPUTE
-        if id(module) not in session._leaf_ids:
-            return COMPUTE
-        pos = self._pos
-        self._pos += 1
-        if pos >= self._start:
-            return COMPUTE
-        if pos >= len(session.order) or session.order[pos] != id(module):
-            self._diverged = True
-            session.cache.stats.diverged += 1
-            return COMPUTE
-        cached = session.cache.get(pos)
-        if cached is None:
-            session.cache.stats.recomputed += 1
-            return COMPUTE  # evicted / skipped: recompute with exact inputs
-        session.cache.stats.replayed += 1
-        tiled = np.tile(cached, (self._lanes,) + (1,) * (cached.ndim - 1))
-        return Tensor(tiled)
-
-    def record(self, module: Module, inputs, output) -> None:
-        return None  # injected passes never re-record golden state

@@ -104,16 +104,14 @@ class ExecConfig:
     #: BLAS/OMP threads per worker (None = cores // workers, floor 1),
     #: pinned at fork time to prevent pool-wide oversubscription
     blas_threads: int | None = None
-    #: emulated device latency in seconds, slept once per ``fault_batch``
-    #: chunk by the shard loop every executor runs (bench/test knob; the
+    #: emulated device latency in seconds, slept once per executed plan
+    #: by the shard loop every executor runs (bench/test knob; the
     #: executor-scaling bench uses it to measure orchestration overhead
     #: independently of host core count)
     injection_latency: float = 0.0
-    #: independent faults evaluated per forward pass (fault-axis batching);
-    #: 1 = the classic one-injection-per-forward loop.  Per-plan records,
-    #: seq ordering, journal framing and telemetry stay bit-identical to
-    #: K=1 — only wall-clock changes (see core/campaign.py
-    #: ``execute_injection_batch``)
+    #: plans per :func:`~repro.core.campaign.execute_injection_batch` call
+    #: in the shard loop (a chunk size: every plan still runs its own
+    #: injected inference, so records are identical at any value)
     fault_batch: int = 1
     #: result-queue poll granularity (also bounds signal-response latency)
     poll_interval: float = 0.05

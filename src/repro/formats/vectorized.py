@@ -29,14 +29,12 @@ Every path is bit-for-bit equivalent to the scalar :func:`flip_value` (see
 ``tests/test_injection.py`` parity coverage, including NaN, ``-0.0`` and
 ``±inf`` victims).
 
-Multi-fault batching
---------------------
-:func:`flip_values_batched` extends the same kernels to K *independent*
-injections in one call: the input is K equal-length lane slices concatenated
-along axis 0, and lane ``k``'s bit positions apply only to its own slice.
-Internally every fused kernel XORs a per-element mask array, so K
-heterogeneous flips cost one kernel pass — the hot path of
-:meth:`repro.core.goldeneye.GoldenEye.forward_from_batched`.
+Several faults per call
+-----------------------
+:func:`flip_values_batched` applies K *independent* flips in one call: the
+input is K equal-length lane slices concatenated along axis 0, and lane
+``k``'s bit positions apply only to its own slice.  It is one
+:func:`flip_values` call per lane, after validating every lane's bits.
 """
 
 from __future__ import annotations
@@ -138,8 +136,8 @@ def flip_values_batched(fmt: NumberFormat | None, values: np.ndarray,
     ``values`` holds K lane slices concatenated along axis 0 (lane ``k`` is
     ``values[k * B : (k + 1) * B]`` for ``B = len(values) // K``), and
     ``lane_bits[k]`` names the MSB-first bit positions flipped in lane ``k``
-    only.  ``blocks``, when given, is per-element (already lane-concatenated)
-    exactly like ``values``.  With ``K == 1`` this is :func:`flip_values`.
+    only, by one :func:`flip_values` call per lane.  ``blocks``, when given,
+    is per-element (already lane-concatenated) exactly like ``values``.
     ``op`` applies to every lane (a campaign runs one fault model).
 
     Every bit position is validated (``IndexError``) before any lane is
@@ -153,21 +151,17 @@ def flip_values_batched(fmt: NumberFormat | None, values: np.ndarray,
     if flat.size % len(lanes):
         raise ValueError(
             f"cannot split {flat.size} values into {len(lanes)} equal lanes")
-    lane_size = flat.size // len(lanes)
     width = 32 if fmt is None else fmt.bit_width
-    lane_masks = [_xor_mask(bits, width) for bits in lanes]
-    if len(lanes) == 1:
-        out = _flip_fused(fmt, flat, lane_masks[0], blocks, op)
-        return out if out is not None \
-            else _flip_memoized(fmt, flat, lanes[0], op)
-    masks = np.repeat(np.asarray(lane_masks, dtype=np.int64), lane_size)
-    out = _flip_fused(fmt, flat, masks, blocks, op)
-    if out is not None:
-        return out
+    for bits in lanes:
+        _xor_mask(bits, width)  # raises before any lane is corrupted
+    if blocks is not None:
+        blocks = np.asarray(blocks).reshape(-1)
+    lane_size = flat.size // len(lanes)
     out = np.empty(flat.size, dtype=np.float32)
     for k, bits in enumerate(lanes):
         lane = slice(k * lane_size, (k + 1) * lane_size)
-        out[lane] = _flip_memoized(fmt, flat[lane], bits, op)
+        out[lane] = flip_values(fmt, flat[lane], bits, op=op,
+                                blocks=None if blocks is None else blocks[lane])
     return out
 
 
@@ -189,70 +183,68 @@ def _xor_mask(bit_positions: Sequence[int], width: int) -> int:
     return mask
 
 
-def _apply_masks(packed, masks, op: str):
+def _apply_mask(packed, mask, op: str):
     """Apply ``op`` (xor / set / clear) at the packed-word level.
 
     Every fused kernel funnels its encoded words through here, so one
     dispatch point covers all three fault operations for every format
-    family.  ``masks`` may be one int or a per-element array; the packed
-    words always fit in the format's width, so ``& ~masks`` (clear) never
-    touches bits above the word.
+    family.  The packed words always fit in the format's width, so
+    ``& ~mask`` (clear) never touches bits above the word.
     """
     if op == "set":
-        return packed | masks
+        return packed | mask
     if op == "clear":
-        return packed & ~masks
+        return packed & ~mask
     if op != "xor":
         raise ValueError(f"unknown bit operation {op!r}; valid: xor, set, clear")
-    return packed ^ masks
+    return packed ^ mask
 
 
-def _flip_fused(fmt: NumberFormat | None, values: np.ndarray, masks,
+def _flip_fused(fmt: NumberFormat | None, values: np.ndarray, mask,
                 blocks: np.ndarray | None, op: str = "xor"
                 ) -> np.ndarray | None:
     """Route to the fused kernel for ``fmt``; None = no fused kernel applies.
 
-    ``masks`` is either one int (the same flip for every element) or a
-    per-element int64 array (multi-fault batching) — every kernel below is a
-    single :func:`_apply_masks` call away from supporting both, and ``op``
-    generalizes that call to set/clear for the stuck-at fault model.
+    ``mask`` is one int, the same flip for every element; every kernel
+    below applies it with a single :func:`_apply_mask` call, where ``op``
+    generalizes the XOR to set/clear for the stuck-at fault model.
     """
     if fmt is None:
-        return _flip_fp32_fabric(values, masks, op)
+        return _flip_fp32_fabric(values, mask, op)
     if isinstance(fmt, BlockFloatingPoint):
-        return _flip_bfp(fmt, values, masks, blocks, op)
+        return _flip_bfp(fmt, values, mask, blocks, op)
     if fmt.bit_width > _MAX_FUSED_WIDTH:
         return None  # packed int64 arithmetic would overflow
     if isinstance(fmt, FloatingPoint):
         if not np.isfinite(fmt.max_value):
             return None  # extreme exponent widths overflow the float64 path
-        return _flip_fp(fmt, values, masks, op)
+        return _flip_fp(fmt, values, mask, op)
     if isinstance(fmt, AdaptivFloat):
         if fmt.exp_bits > 9:
             return None  # decode exponents can exceed float64's range
-        return _flip_afp(fmt, values, masks, op)
+        return _flip_afp(fmt, values, mask, op)
     if isinstance(fmt, IntegerQuant):
-        return _flip_intq(fmt, values, masks, op)
+        return _flip_intq(fmt, values, mask, op)
     if isinstance(fmt, FixedPoint):
-        return _flip_fxp(fmt, values, masks, op)
+        return _flip_fxp(fmt, values, mask, op)
     if isinstance(fmt, Posit):
-        return _flip_posit(fmt, values, masks, op)
+        return _flip_posit(fmt, values, mask, op)
     return None
 
 
 # ----------------------------------------------------------------------
 # native FP32: one XOR over the reinterpreted batch
 # ----------------------------------------------------------------------
-def _flip_fp32_fabric(values: np.ndarray, masks, op: str = "xor") -> np.ndarray:
-    raw = _apply_masks(values.view(np.uint32),
-                       np.asarray(masks, dtype=np.uint32), op)
+def _flip_fp32_fabric(values: np.ndarray, mask, op: str = "xor") -> np.ndarray:
+    raw = _apply_mask(values.view(np.uint32),
+                       np.asarray(mask, dtype=np.uint32), op)
     return raw.view(np.float32).copy()
 
 
 # ----------------------------------------------------------------------
 # BFP: closed-form sign/mantissa arithmetic under the block registers
 # ----------------------------------------------------------------------
-def _flip_bfp(fmt: BlockFloatingPoint, values: np.ndarray, masks,
+def _flip_bfp(fmt: BlockFloatingPoint, values: np.ndarray, mask,
               blocks: np.ndarray | None, op: str = "xor") -> np.ndarray:
     meta = fmt._require_metadata()
     if blocks is None:
@@ -271,7 +263,7 @@ def _flip_bfp(fmt: BlockFloatingPoint, values: np.ndarray, masks,
     sign = (np.signbit(v64) & ~nan_mask).astype(np.int64)
 
     packed = (sign << fmt.mantissa_bits) | mant
-    packed = _apply_masks(packed, masks, op)
+    packed = _apply_mask(packed, mask, op)
     sign = packed >> fmt.mantissa_bits
     mant = packed & fmt.max_mantissa
 
@@ -282,7 +274,7 @@ def _flip_bfp(fmt: BlockFloatingPoint, values: np.ndarray, masks,
 # ----------------------------------------------------------------------
 # FloatingPoint: bulk [sign | exponent | mantissa] field arithmetic
 # ----------------------------------------------------------------------
-def _flip_fp(fmt: FloatingPoint, values: np.ndarray, masks,
+def _flip_fp(fmt: FloatingPoint, values: np.ndarray, mask,
              op: str = "xor") -> np.ndarray:
     e, m = fmt.exp_bits, fmt.mantissa_bits
     v64 = values.astype(np.float64)
@@ -309,7 +301,7 @@ def _flip_fp(fmt: FloatingPoint, values: np.ndarray, masks,
     mant = np.where(nan_mask, (1 << m) - 1, mant)
 
     packed = (sign << (e + m)) | (exp_field << m) | mant
-    packed = _apply_masks(packed, masks, op)
+    packed = _apply_mask(packed, mask, op)
 
     sign_bit = (packed >> (e + m)) & 1
     sign_f = np.where(sign_bit == 1, -1.0, 1.0)
@@ -332,7 +324,7 @@ def _flip_fp(fmt: FloatingPoint, values: np.ndarray, masks,
 # ----------------------------------------------------------------------
 # AdaptivFloat: FloatingPoint fields under the shared tensor bias
 # ----------------------------------------------------------------------
-def _flip_afp(fmt: AdaptivFloat, values: np.ndarray, masks,
+def _flip_afp(fmt: AdaptivFloat, values: np.ndarray, mask,
               op: str = "xor") -> np.ndarray:
     if np.isnan(values).any():
         raise ValueError("AdaptivFloat has no NaN encoding")
@@ -359,7 +351,7 @@ def _flip_afp(fmt: AdaptivFloat, values: np.ndarray, masks,
         mant = np.where(flush, 0, mant)
 
     packed = (sign << (e + m)) | (exp_field << m) | mant
-    packed = _apply_masks(packed, masks, op)
+    packed = _apply_mask(packed, mask, op)
 
     sign_bit = (packed >> (e + m)) & 1
     sign_f = np.where(sign_bit == 1, -1.0, 1.0)
@@ -379,32 +371,32 @@ def _flip_afp(fmt: AdaptivFloat, values: np.ndarray, masks,
 # ----------------------------------------------------------------------
 # IntegerQuant / FixedPoint: bulk two's-complement codes
 # ----------------------------------------------------------------------
-def _twos_complement_flip(codes: np.ndarray, masks, width: int,
+def _twos_complement_flip(codes: np.ndarray, mask, width: int,
                           op: str = "xor") -> np.ndarray:
-    """Apply ``masks`` to ``width``-bit two's-complement codes, sign-extended."""
+    """Apply ``mask`` to ``width``-bit two's-complement codes, sign-extended."""
     u = codes & ((1 << width) - 1)
-    u = _apply_masks(u, masks, op) & ((1 << width) - 1)
+    u = _apply_mask(u, mask, op) & ((1 << width) - 1)
     return u - ((u >> (width - 1)) << width)
 
 
-def _flip_intq(fmt: IntegerQuant, values: np.ndarray, masks,
+def _flip_intq(fmt: IntegerQuant, values: np.ndarray, mask,
                op: str = "xor") -> np.ndarray:
     scale = fmt.scale
     raw = np.round(values.astype(np.float64) / scale)
     # integer pipelines carry no NaN; overflow saturates (scalar semantics)
     raw = np.nan_to_num(raw, nan=0.0, posinf=fmt.max_code, neginf=-fmt.max_code)
     codes = np.clip(raw, -fmt.max_code, fmt.max_code).astype(np.int64)
-    flipped = _twos_complement_flip(codes, masks, fmt.bit_width, op)
+    flipped = _twos_complement_flip(codes, mask, fmt.bit_width, op)
     return (flipped.astype(np.float64) * scale).astype(np.float32)
 
 
-def _flip_fxp(fmt: FixedPoint, values: np.ndarray, masks,
+def _flip_fxp(fmt: FixedPoint, values: np.ndarray, mask,
               op: str = "xor") -> np.ndarray:
     if np.isnan(values).any():
         raise ValueError("cannot encode NaN in a fixed-point format")
     codes = np.round(values.astype(np.float64) / fmt.scale)
     codes = np.clip(codes, fmt.min_code, fmt.max_code).astype(np.int64)
-    flipped = _twos_complement_flip(codes, masks, fmt.bit_width, op)
+    flipped = _twos_complement_flip(codes, mask, fmt.bit_width, op)
     return (flipped.astype(np.float64) * fmt.scale).astype(np.float32)
 
 
@@ -420,7 +412,7 @@ def _posit_decode_table(n: int, es: int) -> np.ndarray:
     return _POSIT_DECODE[key]
 
 
-def _flip_posit(fmt: Posit, values: np.ndarray, masks,
+def _flip_posit(fmt: Posit, values: np.ndarray, mask,
                 op: str = "xor") -> np.ndarray:
     n, es = fmt.n, fmt.es
     tbl_values, tbl_patterns = _table(n, es)
@@ -445,7 +437,7 @@ def _flip_posit(fmt: Posit, values: np.ndarray, masks,
     idx = idx - shift
     pattern = tbl_patterns[idx]
     pattern = np.where(nan_mask, np.int64(1 << (n - 1)), pattern)  # NaR
-    pattern = _apply_masks(pattern, masks, op)
+    pattern = _apply_mask(pattern, mask, op)
     return _posit_decode_table(n, es)[pattern].astype(np.float32)
 
 

@@ -7,7 +7,6 @@ and state-dict serialization.
 
 from . import functional, init
 from .attention import MultiHeadSelfAttention, TransformerEncoderBlock, TransformerMLP
-from .lanes import active_lanes, lane_matmul, lane_scope
 from .layers import (
     AdaptiveAvgPool2d,
     AvgPool2d,
@@ -48,9 +47,6 @@ from .tensor import (
 __all__ = [
     "functional",
     "init",
-    "active_lanes",
-    "lane_scope",
-    "lane_matmul",
     "Tensor",
     "Parameter",
     "no_grad",

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lanes import lane_matmul
 from .tensor import Tensor
 
 __all__ = [
@@ -202,14 +201,14 @@ def conv2d(
     chunk = icg * kh * kw
     ocg = oc // groups
     if groups == 1:
-        out_data = lane_matmul(cols, w_mat.T)
+        out_data = cols @ w_mat.T
     else:
         # cols rows are channel-major, so each group's patch slice is contiguous
         out_data = np.empty((cols.shape[0], oc), dtype=cols.dtype)
         for g in range(groups):
-            out_data[:, g * ocg : (g + 1) * ocg] = lane_matmul(
-                cols[:, g * chunk : (g + 1) * chunk],
-                w_mat[g * ocg : (g + 1) * ocg].T)
+            out_data[:, g * ocg : (g + 1) * ocg] = (
+                cols[:, g * chunk : (g + 1) * chunk]
+                @ w_mat[g * ocg : (g + 1) * ocg].T)
     if bias is not None:
         out_data = out_data + bias.data
     out_data = out_data.reshape(n, oh, ow, oc).transpose(0, 3, 1, 2)

@@ -301,10 +301,8 @@ class Tensor:
         return out
 
     def __matmul__(self, other: "Tensor") -> "Tensor":
-        from .lanes import lane_matmul
-
         other_t = other if isinstance(other, Tensor) else Tensor(_as_array(other, self.dtype))
-        out = self._make(lane_matmul(self.data, other_t.data), (self, other_t))
+        out = self._make(self.data @ other_t.data, (self, other_t))
         if out.requires_grad:
 
             def _backward():

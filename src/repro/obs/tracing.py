@@ -20,8 +20,8 @@ emits:
 
 * ``span  campaign.run``      — one per campaign (kind, location, format, ...)
 * ``span  campaign.layer``    — one per layer (layer, performed, retries)
-* ``span  campaign.batch``    — one per fault-axis batched forward (chunk
-  of K plans; K=1 campaigns get one per injection)
+* ``span  campaign.batch``    — one per ``fault_batch`` chunk of plans
+  (``fault_batch=1`` campaigns get one per injection)
 * ``span  exec.worker_shard`` — one per worker shard attempt (parallel
   runs; replayed into the parent sink with a ``worker_id`` tag)
 * ``event campaign.injection``— one per injection: ``layer``, ``site``

@@ -47,9 +47,9 @@ __all__ = ["MODES", "DifferentialOutcome", "layer_stats",
            "run_mode"]
 
 #: every execution mode the harness can drive.  A ``-kN`` suffix runs the
-#: same campaign with fault-axis batching (``fault_batch=N``): K independent
-#: neuron faults share one K-lane forward pass, and the contract extends to
-#: it — batched records must be bit-identical to the K=1 loop.
+#: same campaign with ``fault_batch=N``: the shard loop hands plans to
+#: ``execute_injection_batch`` N at a time, and records must stay
+#: bit-identical to the ``fault_batch=1`` loop.
 MODES = ("serial", "parallel2", "parallel4", "parallel2-noshm", "resumed",
          "serial-k4", "serial-k8", "parallel2-k4", "resumed-k4")
 

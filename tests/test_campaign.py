@@ -307,6 +307,23 @@ class TestCampaignRobustness:
         assert result.per_layer["conv1"].injections == 5
         assert result.per_layer["conv2"].injections == 5
 
+    def test_emulated_latency_is_per_plan_at_any_fault_batch(
+            self, model, data, monkeypatch):
+        """Every plan runs its own injected inference, so chunking plans
+        with ``fault_batch`` must not divide the emulated device time."""
+        import repro.core.campaign as campaign_mod
+        from repro.exec import ExecConfig
+
+        slept = []
+        monkeypatch.setattr(campaign_mod.time, "sleep", slept.append)
+        cfg = ExecConfig(workers=1, fault_batch=4, injection_latency=0.01)
+        with GoldenEye(model, "fp16") as ge:
+            result = run_campaign(ge, *data, injections_per_layer=5, seed=0,
+                                  exec_config=cfg)
+        performed = sum(r.injections for r in result.per_layer.values())
+        assert performed == 15
+        assert sum(slept) == pytest.approx(0.01 * performed)
+
     def test_sampling_error_recorded_on_plan(self, model, data, monkeypatch):
         from repro.core.campaign import sample_layer_plans
         from repro.core.injection import InjectionError

@@ -213,6 +213,20 @@ class TestFaultModelCLI:
             build_parser().parse_args(
                 ["campaign", "--model", "simple_cnn", "--stride", "0"])
 
+    @pytest.mark.parametrize("argv", [
+        ["campaign", "--workers"], ["campaign", "--batch-records"],
+        ["campaign", "--fault-batch"], ["harden", "--workers"]])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_exec_counts_must_be_positive(self, capsys, argv, value):
+        # non-positive counts used to be clamped to 1 downstream while the
+        # ledger recorded the raw value
+        command, flag = argv
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(
+                [command, "--model", "simple_cnn", flag, value])
+        assert exc.value.code == 2
+        assert f"{flag} must be >= 1, got {value}" in capsys.readouterr().err
+
     def test_conflicting_fault_flags_fail_fast(self, capsys):
         code = main(["campaign", *CHEAP, "--burst", "2", "--stuck-at", "0"])
         assert code == 2

@@ -90,11 +90,11 @@ def test_serial_baseline_is_self_consistent(spec, baselines):
 
 
 # ----------------------------------------------------------------------
-# fault-axis batching: property-based record parity
+# fault-batch chunks: property-based record parity
 # ----------------------------------------------------------------------
-#: the record fields that must be *bit-identical* between a K-lane batched
-#: execution and K sequential executions (``dur_s`` amortizes the shared
-#: forward and is explicitly not a parity surface)
+#: the record fields that must be *bit-identical* between a chunked
+#: execution and K sequential executions (``dur_s`` is wall-clock time and
+#: explicitly not a parity surface)
 PARITY_FIELDS = ("kind", "site", "bits", "delta_loss", "mismatch_rate",
                  "sdc_rate")
 

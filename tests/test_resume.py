@@ -141,6 +141,30 @@ class TestResumedEquivalence:
                     resumed = ge.forward_from(layer, images)
                 np.testing.assert_array_equal(resumed, full, err_msg=layer)
 
+    @pytest.mark.parametrize("use_resume", [True, False])
+    @pytest.mark.parametrize("spec", ["fp16", "bfp_e5m5_b16"])
+    def test_forward_from_batched_is_forward_from_per_plan(
+            self, cnn, batch, spec, use_resume):
+        images, labels = batch
+        rng = np.random.default_rng(5)
+        with GoldenEye(cnn, spec) as ge:
+            if use_resume:
+                ge.enable_resume()
+                ge.capture_golden(images)
+            else:
+                golden_inference(ge, images, labels)  # records output shapes
+            layer = ge.layer_names()[1]
+            plans = [ge.injector.sample_value_injection(rng, layer=layer)
+                     for _ in range(3)]
+            out = ge.forward_from_batched(layer, plans, images)
+            assert out.shape == (len(plans), images.shape[0], 6)
+            assert not ge.injector.active
+            for k, plan in enumerate(plans):
+                with ge.injector.armed(plan):
+                    solo = ge.forward_from(layer, images)
+                np.testing.assert_array_equal(out[k].view(np.uint32),
+                                              solo.view(np.uint32))
+
     def test_metadata_injection_resume_matches_full(self, cnn, batch):
         images, labels = batch
         rng = np.random.default_rng(11)
