@@ -334,7 +334,8 @@ def _campaign_summary(campaign) -> str:
     if tel:
         lines.append(
             f"throughput: {tel['injections_per_sec']:.1f} injections/s "
-            f"({tel['injections']} injections in {tel['wall_seconds']:.2f}s, "
+            f"({tel['injections_executed']} injections executed in "
+            f"{tel['wall_seconds']:.2f}s, "
             f"{tel['sampling_retries']} sampling retries)")
         if tel.get("workers", 1) > 1 or tel.get("journal_skipped"):
             lines.append(

@@ -994,9 +994,11 @@ def run_campaign(
 
             wall = time.perf_counter() - t_campaign
             injections_total = sum(r.injections for r in per_layer.values())
+            # journal-skipped records were performed by an earlier run
+            executed = injections_total - journal_skipped
             retries_total = sum(r.retries for r in per_layer.values())
-            throughput = injections_total / wall if wall > 0 else 0.0
-            run_span.set(injections=injections_total, wall_s=wall,
+            throughput = executed / wall if wall > 0 else 0.0
+            run_span.set(injections=injections_total, executed=executed, wall_s=wall,
                          injections_per_sec=throughput,
                          workers=cfg.workers,
                          journal_skipped=journal_skipped,
@@ -1005,13 +1007,14 @@ def run_campaign(
         registry.gauge("campaign.injections_per_sec",
                        help="throughput of the most recent campaign").set(throughput)
         registry.gauge("campaign.wall_seconds").set(wall)
-        logger.info("campaign done: %d injections in %.2fs (%.1f inj/s)%s%s",
-                    injections_total, wall, throughput,
+        logger.info("campaign done: %d injections (%d executed) in %.2fs "
+                    "(%.1f inj/s)%s%s", injections_total, executed, wall, throughput,
                     f" [{len(quarantined)} shard(s) quarantined]" if quarantined else "",
                     " [interrupted]" if interrupted else "")
         telemetry = {
             "wall_seconds": wall,
             "injections": injections_total,
+            "injections_executed": executed,
             "injections_per_sec": throughput,
             "sampling_retries": retries_total,
             "workers": cfg.workers,

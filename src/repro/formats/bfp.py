@@ -46,6 +46,19 @@ from .bitstring import Bitstring, bits_to_uint, uint_to_bits, validate_bits
 
 __all__ = ["BlockFloatingPoint", "BfpMetadata"]
 
+_INF_BITS = 0x7F800000  # float32 +inf; larger magnitude patterns are NaN
+_SIGN_BIT = 0x80000000  # float32 -0.0
+
+
+def _block_max(values: np.ndarray, block_size: int) -> np.ndarray:
+    """Max of each consecutive ``block_size`` run of a 1-D array."""
+    while block_size % 2 == 0:  # pairwise halving beats reduceat
+        values = np.maximum(values[0::2], values[1::2])
+        block_size //= 2
+    if block_size > 1:
+        values = np.maximum.reduceat(values, np.arange(0, values.size, block_size))
+    return values
+
 
 @dataclass
 class BfpMetadata:
@@ -72,8 +85,9 @@ class BlockFloatingPoint(NumberFormat):
                  block_size: int | None = None):
         if exp_bits < 2:
             raise ValueError(f"need at least 2 exponent bits, got {exp_bits}")
-        if mantissa_bits < 1:
-            raise ValueError(f"need at least 1 mantissa bit, got {mantissa_bits}")
+        if not 1 <= mantissa_bits <= 127:
+            # the float32 tensor path scales block peaks up to 2^mantissa_bits
+            raise ValueError(f"need 1 to 127 mantissa bits, got {mantissa_bits}")
         if block_size is not None and block_size < 1:
             raise ValueError(f"block_size must be >= 1 or None, got {block_size}")
         # element bit width: sign + mantissa (exponent lives in metadata)
@@ -117,60 +131,93 @@ class BlockFloatingPoint(NumberFormat):
     # tensor path
     # ------------------------------------------------------------------
     def real_to_format_tensor(self, tensor: np.ndarray) -> np.ndarray:
+        """Quantize on float32, one power-of-two scale per block.
+
+        Every step is exact in float32 (the QPyTorch approach): ``ldexp`` by
+        the block's integer shift only moves exponents, ``rint`` rounds half
+        to even on the mantissa grid, and decoding scales the clipped
+        mantissa back by the same power of two.
+        """
         x = np.asarray(tensor, dtype=np.float32)
-        flat = x.reshape(-1).astype(np.float64)
+        flat = x.reshape(-1)
         numel = flat.size
         block_size = self.block_size or max(numel, 1)
         num_blocks = max((numel + block_size - 1) // block_size, 1)
-        padded = np.zeros(num_blocks * block_size, dtype=np.float64)
-        padded[:numel] = flat
-        blocks = padded.reshape(num_blocks, block_size)
+        values = flat
+        if num_blocks * block_size != numel:  # zero-pad the last block
+            values = np.zeros(num_blocks * block_size, dtype=np.float32)
+            values[:numel] = flat
+        # non-negative float bit patterns order like their values, so the
+        # integer max of |x|'s bits is the block peak
+        mag = np.bitwise_and(values.view(np.uint32), 0x7FFFFFFF)
+        peak_bits = _block_max(mag, block_size)
 
         # shared exponent from finite magnitudes only (upstream faults may
-        # have produced inf/NaN, which must not blow up the exponent register)
-        magnitude = np.where(np.isfinite(blocks), np.abs(blocks), 0.0)
-        peak = np.max(magnitude, axis=1)
-        with np.errstate(divide="ignore"):
-            _, raw_exp = np.frexp(peak)
-        shared_exp = raw_exp - 1  # floor(log2 peak); all-zero blocks masked below
-        exp_fields = np.clip(shared_exp + self.exp_bias, 0, self.max_exp_field).astype(np.int64)
-        shared_exp = exp_fields - self.exp_bias  # after clamping to the register range
+        # have produced inf/NaN, which must not blow up the exponent
+        # register).  Only blocks whose raw peak is non-finite need a look.
+        special = np.flatnonzero(peak_bits >= _INF_BITS)
+        if special.size:
+            rows = mag.reshape(num_blocks, block_size)[special]
+            nans = rows > _INF_BITS
+            peak_bits = peak_bits.copy()  # is ``mag`` itself at block_size 1
+            peak_bits[special] = np.where(rows < _INF_BITS, rows, 0).max(axis=1)
+        peak = peak_bits.view(np.float32)
+        _, raw_exp = np.frexp(peak)
+        # floor(log2 peak), clamped to the register; all-zero blocks masked below
+        exp_fields = np.clip(raw_exp.astype(np.int64) - 1 + self.exp_bias,
+                             0, self.max_exp_field)
+        shift = (self.mantissa_bits - 1 + self.exp_bias - exp_fields).astype(np.int32)
+        mant_limit = np.float32(2.0 ** self.mantissa_bits)  # max_mantissa + 1
+        max_mant = np.float32(self.max_mantissa)
 
-        # rounding carry (see module docstring): when the block peak rounds to
-        # max_mantissa + 1, bump the shared exponent instead of clipping so the
-        # gran/2 error bound holds.  One bump always suffices: after doubling
-        # the granularity the peak rounds to <= 2^(mantissa_bits - 1).
-        granularity_1d = np.exp2(shared_exp - self.mantissa_bits + 1)
-        carry = np.round(peak / granularity_1d) > self.max_mantissa
-        bump = carry & (exp_fields < self.max_exp_field)
-        if bump.any():
-            exp_fields = exp_fields + bump.astype(np.int64)
-            shared_exp = exp_fields - self.exp_bias
+        # a saturated register scales magnitudes (and a carry into exponent
+        # 128 the decoded peak) past FP32: inf, which then saturates.  NaNs
+        # (signalling ones raise "invalid") are zeroed below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            # rounding carry (see module docstring): when the block peak rounds
+            # to max_mantissa + 1, bump the shared exponent instead of clipping
+            # so the gran/2 error bound holds.  One bump always suffices: after
+            # doubling the granularity the peak rounds to <= 2^(mantissa_bits - 1).
+            carry = np.rint(np.ldexp(peak, shift)) >= mant_limit
+            bump = carry & (exp_fields < self.max_exp_field)
+            if bump.any():
+                exp_fields = exp_fields + bump
+                shift = shift - bump.astype(np.int32)
+            self.metadata = BfpMetadata(exp_fields=exp_fields, block_size=block_size,
+                                        numel=numel)
 
-        self.metadata = BfpMetadata(exp_fields=exp_fields, block_size=block_size, numel=numel)
+            # signed mantissas: rint is symmetric, so the sign rides along
+            mant = np.ldexp(values.reshape(num_blocks, block_size), shift[:, None])
+            np.rint(mant, out=mant)
+            if self.stats_sink is not None:
+                # raw mantissa past the register's reach = true dynamic-range
+                # saturation (inf included; NaN never compares)
+                saturated = int(np.count_nonzero(mant >= mant_limit)
+                                + np.count_nonzero(mant <= -mant_limit))
+            np.minimum(mant, max_mant, out=mant)
+            np.maximum(mant, -max_mant, out=mant)
+            if self.stats_sink is not None:
+                # non-zero finite inputs whose mantissa rounded to 0
+                flushed = int(np.count_nonzero(mag) - np.count_nonzero(mant))
+            np.ldexp(mant, -shift[:, None], out=mant)
 
-        granularity = np.exp2(shared_exp - self.mantissa_bits + 1)[:, None]
-        raw_mantissas = np.round(np.abs(blocks) / granularity)
-        # sign-magnitude mantissas: NaN has no encoding (-> 0), inf saturates
-        mantissas = np.nan_to_num(raw_mantissas, nan=0.0, posinf=self.max_mantissa)
-        mantissas = np.clip(mantissas, 0, self.max_mantissa)
-        signs = np.where(np.isnan(blocks), 0.0, np.sign(blocks))
-        quantized = signs * mantissas * granularity
-        zero_block = peak == 0.0
-        if zero_block.any():
-            quantized[zero_block] = 0.0
-        result = quantized.reshape(-1)[:numel].reshape(x.shape).astype(np.float32)
+        # NaN has no sign-magnitude encoding; NaN and -0.0 inputs come out
+        # +0.0, as does every element of a block with no finite non-zero
+        # magnitude.  A negative value that rounds to zero stays -0.0.
+        if special.size:
+            rows = mant[special]
+            rows[nans | (peak_bits[special] == 0)[:, None]] = 0.0
+            mant[special] = rows
+        result = mant.reshape(-1)[:numel]
+        neg_zero = flat.view(np.uint32) == _SIGN_BIT
+        if neg_zero.any():
+            result[neg_zero] = 0.0
+        result = result.reshape(x.shape)
         if self.stats_sink is not None:
-            # raw mantissa past the register's reach = true dynamic-range
-            # saturation (inf included via inf > max; NaN > max is False);
-            # padding zeros round to mantissa 0 and contribute nothing.
-            saturated = int(np.count_nonzero(raw_mantissas > self.max_mantissa))
-            flushed = int(np.count_nonzero(
-                (mantissas == 0) & np.isfinite(blocks) & (blocks != 0.0)))
-            nan_remapped = int(np.count_nonzero(np.isnan(blocks)))
             self.stats_sink.record(self, x, result,
                                    saturated=saturated, flushed=flushed,
-                                   nan_remapped=nan_remapped)
+                                   nan_remapped=int(np.count_nonzero(nans))
+                                   if special.size else 0)
         return result
 
     # ------------------------------------------------------------------
@@ -190,8 +237,9 @@ class BlockFloatingPoint(NumberFormat):
             # to +0 (np.sign of a NaN block element is forced to 0), so the
             # scalar encoder stores sign 0 / mantissa 0 rather than crashing
             return [0] + uint_to_bits(0, self.mantissa_bits)
-        # signbit, not ``< 0``: a -0.0 victim keeps its sign bit, matching
-        # the tensor path which preserves signed zeros in quantized outputs
+        # signbit, not ``< 0``: a -0.0 victim keeps its sign bit.  The tensor
+        # path keeps the sign of a negative value that rounds to zero, but
+        # maps a -0.0 *input* to +0.0, so the two paths disagree on -0.0.
         sign = 1 if np.signbit(value) else 0
         mant = int(np.clip(np.round(abs(value) / granularity), 0, self.max_mantissa))
         return [sign] + uint_to_bits(mant, self.mantissa_bits)

@@ -124,27 +124,51 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     return out
 
 
+#: batch chunk of :func:`im2col`'s per-offset copies, sized so one chunk's
+#: columns stay in cache while all ``KH*KW`` offsets write into them
+_IM2COL_CHUNK_BYTES = 1 << 20
+
+
 def im2col(
     x: np.ndarray, kernel: tuple[int, int], stride: tuple[int, int], padding: tuple[int, int]
 ) -> tuple[np.ndarray, tuple[int, int]]:
-    """Lower NCHW image patches into a matrix of shape (N*OH*OW, C*KH*KW)."""
+    """Lower NCHW image patches into a matrix of shape (N*OH*OW, C*KH*KW).
+
+    Columns are channel-major (``c*KH*KW + i*KW + j``).  Overlapping
+    windows are gathered from a zero-padded channels-last copy with one
+    strided copy per kernel offset ``(i, j)``, each moving runs of ``C``
+    (``OW*C`` at stride 1) elements instead of ``KW``.  Windows that do not
+    overlap (``stride >= kernel``: 1x1 shortcuts, ViT patch embeds) read
+    every input once, so there a direct strided gather is faster.
+    """
     n, c, h, w = x.shape
     kh, kw = kernel
     sh, sw = stride
     ph, pw = padding
-    if ph or pw:
-        x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
     oh = (h + 2 * ph - kh) // sh + 1
     ow = (w + 2 * pw - kw) // sw + 1
-    sn, sc, sh_, sw_ = x.strides
-    patches = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(n, c, oh, ow, kh, kw),
-        strides=(sn, sc, sh_ * sh, sw_ * sw, sh_, sw_),
-        writeable=False,
-    )
-    cols = patches.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * kh * kw)
-    return np.ascontiguousarray(cols), (oh, ow)
+    if kh <= sh and kw <= sw:
+        if ph or pw:
+            x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+        sn, sc, sh_, sw_ = x.strides
+        patches = np.lib.stride_tricks.as_strided(
+            x,
+            shape=(n, c, oh, ow, kh, kw),
+            strides=(sn, sc, sh_ * sh, sw_ * sw, sh_, sw_),
+            writeable=False,
+        )
+        cols = patches.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * kh * kw)
+        return np.ascontiguousarray(cols), (oh, ow)
+    padded = np.zeros((n, h + 2 * ph, w + 2 * pw, c), dtype=x.dtype)
+    padded[:, ph : ph + h, pw : pw + w] = x.transpose(0, 2, 3, 1)
+    cols = np.empty((n, oh, ow, c, kh, kw), dtype=x.dtype)
+    step = max(1, _IM2COL_CHUNK_BYTES // max(1, cols[:1].nbytes))
+    for b in range(0, n, step):
+        src, dst = padded[b : b + step], cols[b : b + step]
+        for i in range(kh):
+            for j in range(kw):
+                dst[..., i, j] = src[:, i : i + sh * oh : sh, j : j + sw * ow : sw]
+    return cols.reshape(n * oh * ow, c * kh * kw), (oh, ow)
 
 
 def col2im(

@@ -324,6 +324,47 @@ class TestCampaignRobustness:
         assert performed == 15
         assert sum(slept) == pytest.approx(0.01 * performed)
 
+    def test_resumed_throughput_counts_only_executed_injections(
+            self, model, data, tmp_path):
+        """Journal-skipped records were performed by an earlier run: the
+        resumed run's inj/s, its gauge and its ledger row count only the
+        injections it executed itself."""
+        import json
+
+        from repro.obs import get_registry
+        from repro.obs.ledger import CampaignLedger
+
+        journal = str(tmp_path / "campaign.jsonl")
+        with GoldenEye(model, "fp16") as ge:
+            fresh = run_campaign(ge, *data, injections_per_layer=3, seed=4,
+                                 journal=journal)
+            lines = open(journal).read().splitlines()
+            records = [i for i, line in enumerate(lines)
+                       if json.loads(line).get("type") == "injection"]
+            # drop the last two records: the resumed run redoes exactly those
+            with open(journal, "w") as fh:
+                fh.write("".join(line + "\n" for i, line in enumerate(lines)
+                                 if i not in records[-2:]))
+            with CampaignLedger(str(tmp_path / "ledger.db")) as ledger:
+                partial = run_campaign(ge, *data, injections_per_layer=3,
+                                       seed=4, journal=journal, ledger=ledger)
+                row = ledger.runs()[0]
+            full = run_campaign(ge, *data, injections_per_layer=3, seed=4,
+                                journal=journal)
+        tel = partial.telemetry
+        assert tel["injections"] == fresh.telemetry["injections"] == 9
+        assert tel["journal_skipped"] == 7
+        assert tel["injections_per_sec"] == pytest.approx(
+            2 / tel["wall_seconds"])
+        assert row["injections_per_sec"] == pytest.approx(
+            tel["injections_per_sec"])
+        assert full.telemetry["injections_per_sec"] == 0.0
+        assert tel["injections_executed"] == 2
+        assert full.telemetry["injections_executed"] == 0
+        assert fresh.telemetry["injections_executed"] == 9
+        assert get_registry().gauge(
+            "campaign.injections_per_sec").value == 0.0
+
     def test_sampling_error_recorded_on_plan(self, model, data, monkeypatch):
         from repro.core.campaign import sample_layer_plans
         from repro.core.injection import InjectionError

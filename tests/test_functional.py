@@ -71,6 +71,75 @@ class TestConv2d:
         np.testing.assert_allclose(lhs, rhs, rtol=1e-10)
 
 
+def strided_im2col(x, kernel, stride, padding):
+    """The direct ``as_strided`` gather: (N*OH*OW, C*KH*KW), channel-major."""
+    n, c, h, w = x.shape
+    (kh, kw), (sh, sw), (ph, pw) = kernel, stride, padding
+    x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    oh = (h + 2 * ph - kh) // sh + 1
+    ow = (w + 2 * pw - kw) // sw + 1
+    sn, sc, sh_, sw_ = x.strides
+    patches = np.lib.stride_tricks.as_strided(
+        x, shape=(n, c, oh, ow, kh, kw),
+        strides=(sn, sc, sh_ * sh, sw_ * sw, sh_, sw_), writeable=False)
+    cols = patches.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * kh * kw)
+    return np.ascontiguousarray(cols), (oh, ow)
+
+
+class TestIm2col:
+    """im2col must build the GEMM operand the strided gather builds, element
+    for element, so conv outputs and gradients do not move."""
+
+    @pytest.mark.parametrize("shape, kernel, stride, padding", [
+        ((2, 3, 32, 32), (3, 3), (1, 1), (1, 1)),    # resnet18 / simple_cnn stem
+        ((2, 16, 32, 32), (3, 3), (1, 1), (1, 1)),   # resnet18 layer1
+        ((2, 16, 32, 32), (3, 3), (2, 2), (1, 1)),   # resnet18 downsampling conv
+        ((2, 32, 16, 16), (3, 3), (1, 1), (1, 1)),
+        ((2, 16, 32, 32), (1, 1), (2, 2), (0, 0)),   # resnet18 1x1/2 shortcut
+        ((2, 8, 16, 16), (3, 3), (1, 1), (1, 1)),    # simple_cnn conv2
+        ((2, 3, 32, 32), (8, 8), (8, 8), (0, 0)),    # deit_tiny patch embed
+        ((2, 4, 7, 9), (3, 2), (1, 2), (2, 0)),      # asymmetric everything
+        ((2, 4, 7, 9), (2, 3), (2, 1), (0, 1)),
+        ((4, 16, 23, 23), (3, 3), (1, 1), (1, 1)),   # a partial last batch chunk
+        ((1, 2, 2, 2), (3, 3), (1, 1), (1, 1)),      # padding wider than the image
+    ])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_strided_gather(self, rng, shape, kernel, stride, padding,
+                                    dtype):
+        x = rng.standard_normal(shape).astype(dtype)
+        cols, out_hw = F.im2col(x, kernel, stride, padding)
+        want, want_hw = strided_im2col(x, kernel, stride, padding)
+        assert out_hw == want_hw
+        assert cols.dtype == want.dtype and cols.flags.c_contiguous
+        np.testing.assert_array_equal(cols, want)
+
+    def test_non_contiguous_input(self, rng):
+        # a conv output is an NCHW view of channels-last memory
+        x = rng.standard_normal((2, 9, 11, 16)).astype(np.float32).transpose(0, 3, 1, 2)
+        for args in (((3, 3), (1, 1), (1, 1)), ((3, 3), (2, 2), (1, 1)),
+                     ((1, 1), (2, 2), (0, 0))):
+            np.testing.assert_array_equal(F.im2col(x, *args)[0],
+                                          strided_im2col(x, *args)[0])
+
+    @pytest.mark.parametrize("groups, stride", [(1, 1), (2, 2), (8, 1)])
+    def test_conv_forward_and_backward_unchanged(self, rng, monkeypatch,
+                                                 groups, stride):
+        x0 = rng.standard_normal((3, 8, 10, 10)).astype(np.float32)
+        w0 = rng.standard_normal((8, 8 // groups, 3, 3)).astype(np.float32)
+        b0 = rng.standard_normal(8).astype(np.float32)
+
+        def run():
+            x, w, b = (Tensor(a.copy(), requires_grad=True) for a in (x0, w0, b0))
+            out = F.conv2d(x, w, b, stride=stride, padding=1, groups=groups)
+            (out * out).sum().backward()
+            return out.data, x.grad, w.grad, b.grad
+
+        got = run()
+        monkeypatch.setattr(F, "im2col", strided_im2col)
+        for g, want in zip(got, run()):
+            np.testing.assert_array_equal(g, want)
+
+
 class TestPooling:
     def test_max_pool_values(self):
         x = Tensor(np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4))
